@@ -83,7 +83,6 @@ class RunConfig:
     action: str | None = None
     params: dict[str, float] = field(default_factory=dict)
     reduction: bool = False
-    lambda_grid: int = 1001
     alpha_schedule: tuple[float, ...] | None = None
     grid_resolution: int = 20
     threshold: float = 1e3
@@ -104,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-norm", type=float, default=None)
     parser.add_argument("--tol-supp", type=float, default=None)
     parser.add_argument("--tol-dev", type=float, default=None)
-    parser.add_argument("--lambda-grid", type=int, default=1001)
     parser.add_argument("--alpha-schedule", type=str, default=None,
                         help="comma-separated step sizes, largest first")
     parser.add_argument("--grid-resolution", type=int, default=20)
@@ -154,7 +152,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise SchemaError(f"bad alpha schedule: {args.alpha_schedule!r}") from exc
     cfg = RunConfig(command=args.command,
-                    lambda_grid=args.lambda_grid,
                     alpha_schedule=schedule,
                     grid_resolution=args.grid_resolution,
                     out=args.out,
@@ -221,7 +218,7 @@ def _example_instance(cfg: RunConfig) -> tuple[RelayNetSpec, CodingDist]:
 
 
 def _sweep(cfg: RunConfig, spec: RelayNetSpec, cd: CodingDist):
-    verdict = infinite_slope_verdict(spec, cd, cfg.lambda_grid)
+    verdict = infinite_slope_verdict(spec, cd)
     if verdict.verdict != VERDICT_CERTIFIED or verdict.direction is None:
         raise InfeasibleError(f"no certified direction to sweep (verdict {verdict.verdict})")
     schedule = cfg.alpha_schedule or default_schedule(alpha_max(cd, verdict.direction))
@@ -243,9 +240,9 @@ def dispatch(cfg: RunConfig) -> tuple[dict[str, Any], str | None]:
     elif cfg.command == "check-slope":
         spec, cd = _load_pair(cfg)
         if cfg.reduction:
-            result = full_support_verdict(spec, cd, cfg.lambda_grid).to_json_dict()
+            result = full_support_verdict(spec, cd).to_json_dict()
         else:
-            result = infinite_slope_verdict(spec, cd, cfg.lambda_grid).to_json_dict()
+            result = infinite_slope_verdict(spec, cd).to_json_dict()
     elif cfg.command == "sweep-curve":
         spec, cd = _load_pair(cfg)
         verdict, curve = _sweep(cfg, spec, cd)
@@ -263,7 +260,6 @@ def dispatch(cfg: RunConfig) -> tuple[dict[str, Any], str | None]:
                           "tol_supp": config.CONFIG.tol_supp,
                           "tol_dev": config.CONFIG.tol_dev,
                           "tol_lp": config.CONFIG.tol_lp,
-                          "lambda_grid": cfg.lambda_grid,
                           "alpha_schedule": list(cfg.alpha_schedule) if cfg.alpha_schedule else None,
                           "grid_resolution": cfg.grid_resolution},
                "result": result}
@@ -282,8 +278,7 @@ def _dispatch_example(cfg: RunConfig) -> tuple[dict[str, Any], str | None]:
             return {"q": q, "rate": rate}, None
         if action == "lambda-check":
             _require(cfg, ("p", "q"))
-            return bec_lambda_infeasibility(cfg.params["p"], cfg.params["q"],
-                                            cfg.lambda_grid).to_json_dict(), None
+            return bec_lambda_infeasibility(cfg.params["p"], cfg.params["q"]).to_json_dict(), None
         if action == "capacity":
             raise SchemaError("capacity action applies to the modadd example only")
     else:
@@ -300,9 +295,9 @@ def _dispatch_example(cfg: RunConfig) -> tuple[dict[str, Any], str | None]:
     if action == "eval-pdcf":
         return {"rate": eval_pdcf(spec, cd)}, None
     if action == "check-slope":
-        return infinite_slope_verdict(spec, cd, cfg.lambda_grid).to_json_dict(), None
+        return infinite_slope_verdict(spec, cd).to_json_dict(), None
     if action == "reduction":
-        return full_support_verdict(spec, cd, cfg.lambda_grid).to_json_dict(), None
+        return full_support_verdict(spec, cd).to_json_dict(), None
     if action == "sweep-curve":
         verdict, curve = _sweep(cfg, spec, cd)
         return {"verdict": verdict.verdict, "curve": curve.to_json_dict()}, curve.to_csv()
@@ -355,7 +350,7 @@ def _emit(cfg: RunConfig, payload: dict[str, Any], csv_text: str | None) -> None
             raise SchemaError(f"command {cfg.command!r} has no CSV form")
         data = csv_text
     else:
-        data = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        data = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if cfg.out:
         _write_atomic(cfg.out, data)
     else:

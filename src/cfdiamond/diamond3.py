@@ -106,8 +106,8 @@ def mac_sum_capacity_indep(mac: MacSpec, grid_resolution: int) -> float:
 def diamond_upper_bound(c_sum0: float) -> float:
     """Diamond capacity without cooperation is at most half the MAC
     independent-input sum-capacity."""
-    if c_sum0 < 0.0:
-        raise ValueError(f"sum-capacity must be nonnegative, got {c_sum0}")
+    if not (np.isfinite(c_sum0) and c_sum0 >= 0.0):
+        raise ValueError(f"sum-capacity must be a nonnegative real, got {c_sum0}")
     return c_sum0 / 2.0
 
 
@@ -148,10 +148,10 @@ def rate_split_achievable(r0: float, r1: float, eps: float) -> RateSplit:
     fraction carries a rate-(1/2 - eps) erasure encoding of the remaining
     (r0 - r1)/2 - eps message bits, and the rest is zero padding.
     """
-    if r0 < 0.0 or r1 < 0.0:
-        raise ValueError(f"rates must be nonnegative, got ({r0}, {r1})")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not all(np.isfinite(r) and r >= 0.0 for r in (r0, r1)):
+        raise ValueError(f"rates must be nonnegative reals, got ({r0}, {r1})")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be a positive real, got {eps}")
     swapped = r1 > r0
     if swapped:
         r0, r1 = r1, r0

@@ -28,8 +28,11 @@ exactly when some lambda in [0, 1] makes
     log p(v|u,x,y1) - lambda*log p(v|u,y1) - (1-lambda)*log p(v|u,yr)
 
 constant in v on the support of p(. | u, yr), for every supported tuple
-(u, x, y1, yr). ``find_direction`` solves the primal LP for a witness;
-``check_lambda`` scans for the dual witness; ``infinite_slope_verdict``
+(u, x, y1, yr). Both sides reduce to minimising a convex, piecewise-linear
+function of lambda on [0, 1], which is done exactly: ``find_direction``
+minimises the LP's dual over lambda and assembles an optimal direction
+from the maximisers at the minimiser; ``check_lambda`` minimises the
+largest alignment deviation for the dual witness; ``infinite_slope_verdict``
 combines both with the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U).
 
 For channels with full support, ``deterministic_reduction`` builds the
@@ -41,10 +44,9 @@ graph per u) and verifies it preserves the rate terms, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import config
 from .probcore import (
@@ -93,7 +95,7 @@ class AlphaRangeError(InfeasibleError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Perturbation:
     """A direction r(v | u, x, y1, yr) for the perturbed channel family.
 
@@ -103,16 +105,23 @@ class Perturbation:
     that r vanish on zero-probability tuples (u, x, y1, yr) depends on the
     network spec; ``validate_against_joint`` checks it when the joint is at
     hand, and all constructors in this module guarantee it.
+
+    Every verdict that certifies keeps its direction, and a direction from
+    ``find_direction`` takes at most nine distinct values. So r is held as
+    one-byte codes into its sorted distinct values whenever it has at most
+    256 of them, an eighth of the float64 size, and ``r`` rebuilds the
+    read-only array on each access.
     """
 
-    r: np.ndarray
     base: CodingDist
+    _values: np.ndarray
+    _codes: np.ndarray | None  # None when _values is r itself
 
-    def __post_init__(self) -> None:
-        if not self.base.markov_form:
+    def __init__(self, r: np.ndarray, base: CodingDist) -> None:
+        if not base.markov_form:
             raise PreconditionError("perturbation base must be in Markov form")
-        shape = self.base.v_kernel.tensor.shape
-        r = np.asarray(self.r, dtype=float)
+        shape = base.v_kernel.tensor.shape
+        r = np.asarray(r, dtype=float)
         if r.shape != shape:
             raise ValueError(f"direction has shape {r.shape}, kernel needs {shape}")
         if not np.all(np.isfinite(r)):
@@ -120,24 +129,39 @@ class Perturbation:
         sums = np.abs(r.sum(axis=-1))
         if sums.size and sums.max() > 1e-12:
             raise ValueError(f"direction rows must sum to zero, worst residual {sums.max()}")
-        mk = markov_kernel(self.base)  # (U, Yr, V)
+        mk = markov_kernel(base)  # (U, Yr, V)
         off = np.abs(r) * (mk[:, None, None, :, :] <= config.CONFIG.tol_supp)
         if off.size and off.max() > 0.0:
             raise ValueError("direction is nonzero outside the base channel support")
-        r = r.copy()
+        values, codes = np.unique(r, return_inverse=True)
+        if values.size <= 256:
+            codes = codes.astype(np.uint8).reshape(shape)
+        else:
+            values, codes = r.copy(), None
+        values.setflags(write=False)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_codes", codes)
+
+    @property
+    def r(self) -> np.ndarray:
+        if self._codes is None:
+            return self._values
+        r = self._values.take(self._codes)
         r.setflags(write=False)
-        object.__setattr__(self, "r", r)
+        return r
 
     @property
     def is_zero(self) -> bool:
-        return not bool(np.any(self.r))
+        return not bool(np.any(self._values))
 
     def scaled(self, factor: float) -> "Perturbation":
         """Same direction with every entry multiplied by ``factor``."""
         return Perturbation(self.r * float(factor), self.base)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"shape": list(self.r.shape), "r": self.r.ravel().tolist()}
+        r = self.r
+        return {"shape": list(r.shape), "r": r.ravel().tolist()}
 
 
 def validate_against_joint(pert: Perturbation, joint_base: FiniteDist) -> None:
@@ -308,7 +332,58 @@ def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
 
 
 # ---------------------------------------------------------------------------
-# Direction LP (primal witness)
+# Exact minimisation over lambda in [0, 1]
+# ---------------------------------------------------------------------------
+
+#: Step cap of ``_pwl_argmin``. Every other step at most halves the bracket,
+#: so the cap is never reached before the bracket shrinks below rounding.
+_MAX_STEPS = 200
+
+
+def _pwl_argmin(evaluate: Callable[[float], tuple[float, float, Any]],
+                at0: tuple[float, float, Any], at1: tuple[float, float, Any]):
+    """Minimise a convex piecewise-linear function f of lambda on [0, 1].
+
+    ``evaluate(lam)`` returns ``(f(lam), s, state)`` with s a subgradient
+    of f at lam; ``at0`` and ``at1`` are its results at the two ends. An end
+    whose slope points out of [0, 1] is the minimiser. Otherwise the
+    tangent lines at the ends of the bracket bound f from below, so their
+    meeting point bounds the minimum from below, and the search stops at
+    the first query whose value reaches that bound up to rounding. Queries
+    are the meeting points (secant steps, exact on a linear piece); a step
+    that fails to halve the bracket is followed by a bisection.
+
+    Returns ``(lam, at, lo, hi)``: the minimiser, its evaluation, and the
+    evaluations at the final bracket ends. At an end of [0, 1] or on a flat
+    piece all three are the same object.
+    """
+    if at0[1] >= 0.0:
+        return 0.0, at0, at0, at0
+    if at1[1] <= 0.0:
+        return 1.0, at1, at1, at1
+    (l0, lo), (l1, hi) = (0.0, at0), (1.0, at1)
+    bisect = False
+    for _ in range(_MAX_STEPS):
+        (f0, s0, _), (f1, s1, _) = lo, hi
+        meet = min(max((f1 - f0 + s0 * l0 - s1 * l1) / (s0 - s1), l0), l1)
+        floor = f0 + s0 * (meet - l0)
+        lam = 0.5 * (l0 + l1) if bisect else meet
+        at = evaluate(lam)
+        if at[0] - floor <= 1e-12 * max(1.0, abs(at[0])):
+            return lam, at, lo, hi
+        if at[1] == 0.0:
+            return lam, at, at, at
+        width = l1 - l0
+        if at[1] < 0.0:
+            l0, lo = lam, at
+        else:
+            l1, hi = lam, at
+        bisect = not bisect and l1 - l0 > 0.5 * width
+    return lam, at, lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Best direction (primal witness)
 # ---------------------------------------------------------------------------
 
 
@@ -336,12 +411,20 @@ def find_direction(joint_base: FiniteDist, base: CodingDist | None = None
                    ) -> tuple[Perturbation, float]:
     """Best direction for max min(f1'(0), f2'(0)) over the unit box.
 
-    Solves: maximize t subject to f1'(r) >= t, f2'(r) >= t, zero sum over v
-    per conditioning tuple, r = 0 off support, and |r| <= 1 entrywise. The
-    box only fixes the scale; the sign of the optimum t* is what matters.
-    A value above ``tol_lp`` certifies an improving direction exists.
+    The program: maximize t subject to f1'(r) >= t, f2'(r) >= t, zero sum
+    over v per conditioning tuple, r = 0 off support, and |r| <= 1
+    entrywise. The box only fixes the scale; the sign of the optimum t* is
+    what matters. A value above ``tol_lp`` certifies an improving direction.
 
-    Returns the cleaned-up optimizer and t*. Degenerate supports (no free
+    With f1' = a.r and f2' = b.r, t* = min over lambda in [0, 1] of
+    g(lambda) = max_r c.r for c = lambda*a + (1-lambda)*b. The maximum
+    splits by tuple: +1 on the top floor(k/2) of the tuple's k free entries
+    of c, -1 on the bottom floor(k/2), so g is convex and piecewise linear
+    and ``_pwl_argmin`` finds its minimiser lambda*. The direction is that
+    maximiser at an end of [0, 1], or else the mix of the maximisers on
+    both sides of lambda* that makes f1' = f2' (= t*).
+
+    Returns the direction and t*. Degenerate supports (no free
     coordinates) return the zero direction and t* = 0.
     """
     joint = _canon(joint_base)
@@ -352,47 +435,46 @@ def find_direction(joint_base: FiniteDist, base: CodingDist | None = None
     tuple_p, supp5, l_uxy1, l_uy1, l_uyr = _support_tables(joint)
     mk = markov_kernel(base)
     free5 = (tuple_p > tol)[..., None] & (mk[:, None, None, :, :] > tol)
-    coords = np.argwhere(free5)
-    n = coords.shape[0]
     shape5 = free5.shape
-    if n == 0:
+    nv = shape5[-1]
+    rows = np.flatnonzero(free5.reshape(-1, nv).any(axis=1))
+    if rows.size == 0:
         return Perturbation(np.zeros(shape5), base), 0.0
 
-    iu, ix, iy1, iyr, iv = coords.T
-    w = tuple_p[iu, ix, iy1, iyr]
-    l1 = l_uxy1[iu, ix, iy1, iv]
-    a = w * (l1 - l_uy1[iu, iy1, iv])
-    b = w * (l1 - l_uyr[iu, iyr, iv])
+    free = free5.reshape(-1, nv)[rows]
+    w = tuple_p[..., None]
+    l1 = l_uxy1[:, :, :, None, :]
+    a = np.where(free, (w * (l1 - l_uy1[:, None, :, None, :])).reshape(-1, nv)[rows], 0.0)
+    b = np.where(free, (w * (l1 - l_uyr[:, None, None, :, :])).reshape(-1, nv)[rows], 0.0)
+    d = a - b
+    off = np.where(free, 0.0, np.inf)  # sorts unsupported entries past the free ones
+    k = free.sum(axis=1, keepdims=True)
+    pos = np.arange(nv)
+    half = k // 2
+    sign = np.where(pos < half, -1.0, np.where((pos >= k - half) & (pos < k), 1.0, 0.0))
 
-    tuple_ids = np.ravel_multi_index((iu, ix, iy1, iyr), shape5[:4])
-    uniq, inverse = np.unique(tuple_ids, return_inverse=True)
-    n_tuples = uniq.size
-    a_eq = np.zeros((n_tuples, n + 1))
-    a_eq[inverse, np.arange(n)] = 1.0
-    a_ub = np.vstack([np.append(-a, 1.0), np.append(-b, 1.0)])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * n + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2), A_eq=a_eq,
-                  b_eq=np.zeros(n_tuples), bounds=bounds, method="highs")
-    if res.status != 0:
-        raise InfeasibleError(f"direction LP failed with status {res.status}: {res.message}")
-    z = res.x[:n]
-    t_star = float(res.x[-1])
+    at_row = (np.arange(rows.size) * nv)[:, None]
 
-    # Re-center each tuple's entries so row sums vanish to machine precision,
-    # then renormalize into the unit box if rounding pushed past it.
-    sums = np.zeros(n_tuples)
-    counts = np.zeros(n_tuples)
-    np.add.at(sums, inverse, z)
-    np.add.at(counts, inverse, 1.0)
-    z = z - (sums / counts)[inverse]
-    peak = float(np.abs(z).max(initial=0.0))
-    if peak > 1.0:
-        z /= peak
-        t_star /= peak
+    def evaluate(lam: float, side: float = 0.0):
+        c = b + lam * d
+        if side:  # at an end, ties in c go by side*d: the slope into [0, 1]
+            order = np.lexsort((side * d, c + off), axis=-1)
+        else:  # inside, any order of ties gives a maximiser
+            order = (c + off).argsort(axis=1)
+        z = np.empty(sign.size)
+        z[(order + at_row).ravel()] = sign.ravel()
+        return float((c.ravel() * z).sum()), float((d.ravel() * z).sum()), z
+
+    _, _, lo, hi = _pwl_argmin(evaluate, evaluate(0.0, side=1.0), evaluate(1.0, side=-1.0))
+    if lo is hi:
+        z = lo[2]
+    else:
+        theta = hi[1] / (hi[1] - lo[1])  # slopes lo[1] < 0 < hi[1]: d.z = 0
+        z = theta * lo[2] + (1.0 - theta) * hi[2]
+    z = z.reshape(free.shape)
+    t_star = min(float((a * z).sum()), float((b * z).sum()))
     r = np.zeros(shape5)
-    r[iu, ix, iy1, iyr, iv] = z
+    r.reshape(-1, nv)[rows] = z
     return Perturbation(r, base), t_star
 
 
@@ -401,80 +483,73 @@ def find_direction(joint_base: FiniteDist, base: CodingDist | None = None
 # ---------------------------------------------------------------------------
 
 
-def _lambda_scan(joint: FiniteDist, grid_size: int) -> tuple[float, float, bool]:
-    """Best (lambda, max deviation) over analytic candidates then a grid.
+def _alignment_rows(joint: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deviation profile d(v) = base + lambda*drift per supported tuple.
 
-    The deviation of a candidate lambda is the largest spread, over
-    supported tuples (u, x, y1, yr), of
-
-        d(v) = log2 p(v|u,x,y1) - lambda*log2 p(v|u,y1)
-               - (1-lambda)*log2 p(v|u,yr)
-
-    across v in the support of p(. | u, yr). Constancy absorbs the free
-    per-tuple factor. Returns as soon as a candidate passes ``tol_dev``.
+    d(v) = log2 p(v|u,x,y1) - lambda*log2 p(v|u,y1) - (1-lambda)*log2 p(v|u,yr),
+    so base = log2 p(v|u,x,y1) - log2 p(v|u,yr) and drift = log2 p(v|u,yr)
+    - log2 p(v|u,y1). Returns (base, drift, free), one row per tuple
+    (u, x, y1, yr) with at least two supported letters v; the other tuples
+    have no spread.
     """
-    if grid_size < 2:
-        raise ValueError("lambda grid needs at least 2 points")
-    joint = _canon(joint)
-    tol = config.CONFIG.tol_supp
-    tol_dev = config.CONFIG.tol_dev
-    tuple_p, supp5, l_uxy1, l_uy1, l_uyr = _support_tables(joint)
-    free5 = supp5
-    has_pair = free5.sum(axis=4) >= 2
-    if not bool(has_pair.any()):
-        return 0.0, 0.0, True
-
+    _, supp5, l_uxy1, l_uy1, l_uyr = _support_tables(joint)
+    nv = supp5.shape[-1]
+    free = supp5.reshape(-1, nv)
+    rows = np.flatnonzero(free.sum(axis=1) >= 2)
     base = l_uxy1[:, :, :, None, :] - l_uyr[:, None, None, :, :]
-    drift = l_uyr[:, None, None, :, :] - l_uy1[:, None, :, None, :]
-    neg_inf = np.full(free5.shape, -np.inf)
-    pos_inf = np.full(free5.shape, np.inf)
-
-    def max_dev(lam: float) -> float:
-        d = base + lam * drift
-        hi = np.where(free5, d, neg_inf).max(axis=4)
-        lo = np.where(free5, d, pos_inf).min(axis=4)
-        spread = np.where(has_pair, hi - lo, 0.0)
-        return float(spread.max(initial=0.0))
-
-    # Analytic candidates: lambda values equating d(v) = d(v') for some
-    # supported pair within a tuple; isolated roots the grid can miss.
-    cands: list[float] = []
-    tuples = np.argwhere(has_pair)
-    for tu, tx, ty1, tyr in tuples:
-        vs = np.nonzero(free5[tu, tx, ty1, tyr])[0]
-        da = l_uxy1[tu, tx, ty1, vs]
-        db = l_uy1[tu, ty1, vs]
-        dc = l_uyr[tu, tyr, vs]
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                den = (db[i] - db[j]) - (dc[i] - dc[j])
-                if abs(den) > 1e-12:
-                    lam = ((da[i] - da[j]) - (dc[i] - dc[j])) / den
-                    if -1e-9 <= lam <= 1.0 + 1e-9:
-                        cands.append(min(1.0, max(0.0, float(lam))))
-    analytic = np.unique(np.round(np.asarray(cands, dtype=float), 12)) if cands else np.array([])
-    grid = np.linspace(0.0, 1.0, grid_size)
-
-    best_lam, best_dev = 0.0, float("inf")
-    for lam in list(analytic) + list(grid):
-        dev = max_dev(float(lam))
-        if dev <= tol_dev:
-            return float(lam), dev, True
-        if dev < best_dev:
-            best_lam, best_dev = float(lam), dev
-    return best_lam, best_dev, False
+    drift = np.broadcast_to(l_uyr[:, None, None, :, :] - l_uy1[:, None, :, None, :],
+                            supp5.shape)
+    return base.reshape(-1, nv)[rows], drift.reshape(-1, nv)[rows], free[rows]
 
 
-def check_lambda(joint_base: FiniteDist, lambda_grid_size: int = 1001
-                 ) -> tuple[float, float] | None:
-    """Dual witness search: a lambda certifying no improving direction.
+def _min_deviation(base: np.ndarray, drift: np.ndarray, free: np.ndarray,
+                   stop: float = -np.inf) -> tuple[float, float]:
+    """Least (lambda, max deviation) over [0, 1] for ``_alignment_rows`` data.
 
-    Returns (lambda, max deviation) for the first candidate whose deviation
-    is within ``tol_dev``, or None when every candidate fails (which, by LP
-    duality, means an improving direction exists).
+    The deviation max over rows of (max - min over free v of base +
+    lambda*drift) is convex and piecewise linear in lambda, and the
+    subgradient at lambda is the drift spread of the row and letters that
+    attain it. lambda = 0, then lambda = 1, is returned at once when its
+    deviation is at most ``stop``; otherwise the exact minimiser.
     """
-    lam, dev, ok = _lambda_scan(joint_base, lambda_grid_size)
-    return (lam, dev) if ok else None
+    if base.shape[0] == 0:
+        return 0.0, 0.0
+    hi0 = np.where(free, base, -np.inf)
+    lo0 = np.where(free, base, np.inf)
+    drift = np.where(free, drift, 0.0)
+    idx = np.arange(base.shape[0])
+
+    def evaluate(lam: float):
+        hi = hi0 + lam * drift
+        lo = lo0 + lam * drift
+        top = hi.argmax(axis=1)
+        bot = lo.argmin(axis=1)
+        spread = hi[idx, top] - lo[idx, bot]
+        t = int(spread.argmax())
+        return float(spread[t]), float(drift[t, top[t]] - drift[t, bot[t]]), None
+
+    at0 = evaluate(0.0)
+    if at0[0] <= stop:
+        return 0.0, at0[0]
+    at1 = evaluate(1.0)
+    if at1[0] <= stop:
+        return 1.0, at1[0]
+    lam, at, _, _ = _pwl_argmin(evaluate, at0, at1)
+    return lam, at[0]
+
+
+def check_lambda(joint_base: FiniteDist, best: bool = False) -> tuple[float, float] | None:
+    """Dual witness: a lambda certifying that no improving direction exists.
+
+    Tries lambda = 0, then lambda = 1, then the minimiser of the maximum
+    deviation; returns (lambda, max deviation) for the first within
+    ``tol_dev``, or None when the minimum exceeds it (by LP duality an
+    improving direction then exists). With ``best`` the least-deviation
+    pair is returned even when it fails ``tol_dev``.
+    """
+    tol_dev = config.CONFIG.tol_dev
+    lam, dev = _min_deviation(*_alignment_rows(_canon(joint_base)), stop=tol_dev)
+    return (lam, dev) if best or dev <= tol_dev else None
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +581,7 @@ class SlopeVerdict:
                 "direction": None if self.direction is None else self.direction.to_json_dict()}
 
 
-def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist,
-                           lambda_grid_size: int = 1001) -> SlopeVerdict:
+def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     """Certify whether small cooperation buys rate at unbounded slope here.
 
     PRECONDITION_FAILS: I(X;Y1,V|U) is not strictly below I(X;Y1,Yr|U),
@@ -525,9 +599,9 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist,
     strict = gap > config.CONFIG.tol_norm
     if not strict:
         return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
-    witness = check_lambda(joint, lambda_grid_size)
-    if witness is not None:
-        return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, witness)
+    lam, dev = check_lambda(joint, best=True)
+    if dev <= config.CONFIG.tol_dev:
+        return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
     pert, t_star = find_direction(joint, base=cd)
     f1p, f2p = f_primes(joint, pert)
     tol_lp = config.CONFIG.tol_lp
@@ -535,7 +609,6 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist,
         return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
     # Numerical gray zone: the LP found nothing usable, so report the least
     # misaligned lambda (its deviation records how far the dual witness is).
-    lam, dev, _ = _lambda_scan(joint, lambda_grid_size)
     return SlopeVerdict(VERDICT_ALIGNED, True, t_star, (lam, dev))
 
 
@@ -718,8 +791,7 @@ class ReductionVerdict:
                 "reduction": None if self.reduction is None else self.reduction.to_json_dict()}
 
 
-def full_support_verdict(spec: RelayNetSpec, cd: CodingDist,
-                         lambda_grid_size: int = 1001) -> ReductionVerdict:
+def full_support_verdict(spec: RelayNetSpec, cd: CodingDist) -> ReductionVerdict:
     """Run the alignment check; reduce V to a deterministic W if it holds.
 
     Requires every broadcast transition probability to be positive.
@@ -732,7 +804,7 @@ def full_support_verdict(spec: RelayNetSpec, cd: CodingDist,
     if not cd.markov_form:
         raise PreconditionError("reduction verdict requires a Markov-form coding distribution")
     joint = build_joint(spec, cd)
-    witness = check_lambda(joint, lambda_grid_size)
+    witness = check_lambda(joint)
     if witness is None:
         return ReductionVerdict(REDUCTION_INFINITE_SLOPE, None, None)
     return ReductionVerdict(REDUCTION_DETERMINISTIC, witness, deterministic_reduction(joint))

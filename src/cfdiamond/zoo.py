@@ -46,8 +46,8 @@ class ModAddParams:
         for name, val in (("p", self.p), ("delta", self.delta)):
             if not 0.0 <= val <= 1.0:
                 raise SchemaError(f"{name} must lie in [0, 1], got {val}")
-        if self.c0 < 0.0:
-            raise SchemaError(f"c0 must be nonnegative, got {self.c0}")
+        if not (np.isfinite(self.c0) and self.c0 >= 0.0):
+            raise SchemaError(f"c0 must be a nonnegative real, got {self.c0}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class BecParams:
         for name, val in (("p", self.p), ("q", self.q)):
             if not 0.0 <= val <= 1.0:
                 raise SchemaError(f"{name} must lie in [0, 1], got {val}")
-        if self.c0 < 0.0:
-            raise SchemaError(f"c0 must be nonnegative, got {self.c0}")
+        if not (np.isfinite(self.c0) and self.c0 >= 0.0):
+            raise SchemaError(f"c0 must be a nonnegative real, got {self.c0}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +308,8 @@ def bec_rate(p: float, q: float, c0: float) -> float:
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise SchemaError(f"{name} must lie in [0, 1], got {val}")
-    if c0 < 0.0:
-        raise SchemaError(f"c0 must be nonnegative, got {c0}")
+    if not (np.isfinite(c0) and c0 >= 0.0):
+        raise SchemaError(f"c0 must be a nonnegative real, got {c0}")
     first = (1.0 - p) * (1.0 + p * (1.0 - q))
     second = (1.0 - p - binary_entropy((1.0 - p) * (1.0 - q))
               + (1.0 - p) * binary_entropy(q) + c0)
@@ -362,8 +362,7 @@ class BecLambdaCheck:
                 "max_deviation": self.max_deviation}
 
 
-def bec_lambda_infeasibility(p: float, q: float,
-                             lambda_grid_size: int = 1001) -> BecLambdaCheck:
+def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     """Decide whether an exponential-alignment witness exists at (p, q).
 
     The only supported letter pair in the compression channel is
@@ -375,23 +374,27 @@ def bec_lambda_infeasibility(p: float, q: float,
 
     with LHS = (1-p)(1-q) / (1 - (1-p)(1-q)) and branch ratios
     (1-p)(1-q) / (1 - (1-p)(1-q)) for y1 = x and half that for y1 = e.
-    Infeasible means no lambda in [0, 1] satisfies every applicable branch
-    within ``tol_dev``. Degenerate parameter values leave no constraints at
-    all, so the test is feasible there; this matches the support-aware
-    alignment check on the assembled joint.
+    The largest absolute residual is convex and piecewise linear in
+    lambda, so its minimum over [0, 1] lies at an end, at a root of one
+    residual, or where the two residuals meet in absolute value; all are
+    evaluated (lambda = 0, then 1, is returned when it passes ``tol_dev``).
+    Infeasible means the minimum exceeds ``tol_dev``. Degenerate parameter
+    values leave no constraints at all, so the test is feasible there; this
+    matches the support-aware alignment check on the assembled joint.
     """
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise SchemaError(f"{name} must lie in [0, 1], got {val}")
     keep = (1.0 - p) * (1.0 - q)
+    lost = p + q - p * q  # 1 - keep, without cancellation when keep rounds to 1
 
     constraints: list[tuple[float, float]] = []  # (intercept, slope) of residual(lam)
     pair_exists = 0.0 < q < 1.0 and p < 1.0
     if pair_exists:
-        lhs = np.log2(keep / (1.0 - keep))
+        lhs = np.log2(keep / lost)
         base = np.log2((1.0 - q) / q)
-        branch_x = np.log2(keep / (1.0 - keep))
-        branch_e = np.log2(0.5 * keep / (1.0 - keep))
+        branch_x = lhs
+        branch_e = np.log2(0.5 * keep / lost)
         # residual(lam) = base + lam * (branch - base) - lhs
         if p < 1.0:  # y1 = x occurs whenever the direct channel passes
             constraints.append((base - lhs, branch_x - base))
@@ -401,19 +404,20 @@ def bec_lambda_infeasibility(p: float, q: float,
     if not constraints:
         return BecLambdaCheck(False, 0.0, 0.0)
 
+    def dev(lam: float) -> float:
+        return float(max(abs(c + lam * s) for c, s in constraints))
+
+    cands = [0.0, 1.0]
+    for c, s in constraints:
+        if s != 0.0:
+            cands.append(-c / s)
+    if len(constraints) == 2:
+        (c1, s1), (c2, s2) = constraints
+        for c, s in ((c1 - c2, s1 - s2), (c1 + c2, s1 + s2)):
+            if s != 0.0:
+                cands.append(-c / s)
     tol_dev = config.CONFIG.tol_dev
-    cands: list[float] = []
-    for intercept, slope in constraints:
-        if abs(slope) > 1e-12:
-            lam = -intercept / slope
-            if -1e-9 <= lam <= 1.0 + 1e-9:
-                cands.append(min(1.0, max(0.0, float(lam))))
-    grid = list(np.linspace(0.0, 1.0, lambda_grid_size))
-    best_lam, best_dev = 0.0, float("inf")
-    for lam in sorted(set(cands)) + grid:
-        dev = max(abs(intercept + lam * slope) for intercept, slope in constraints)
-        if dev <= tol_dev:
-            return BecLambdaCheck(False, float(lam), float(dev))
-        if dev < best_dev:
-            best_lam, best_dev = float(lam), float(dev)
-    return BecLambdaCheck(True, None, best_dev)
+    ends = [lam for lam in (0.0, 1.0) if dev(lam) <= tol_dev]
+    lam = ends[0] if ends else min((min(1.0, max(0.0, float(x))) for x in cands), key=dev)
+    infeasible = dev(lam) > tol_dev
+    return BecLambdaCheck(infeasible, None if infeasible else lam, dev(lam))

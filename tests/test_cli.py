@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cfdiamond
+from cfdiamond import cli
 from cfdiamond.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, main
 from cfdiamond.zoo import bec_coding_dist, make_bec_pair
 
@@ -172,3 +177,55 @@ def test_csv_unavailable_for_json_only_command(tmp_path, bec_files):
 def test_example_requires_parameters():
     assert main(["example", "bec", "rate"]) == EXIT_SCHEMA
     assert main(["example", "modadd", "rate", "--p", "0.1", "--delta", "0.1"]) == EXIT_SCHEMA
+
+
+def assert_one_schema_error(code, capsys, names=""):
+    assert code == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: schema: "), captured.err
+    assert names in lines[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "bec", "rate", "--p", "0.5", "--q", "0.5", "--c0", "nan"],
+    ["example", "modadd", "capacity", "--p", "0.1", "--delta", "0.1", "--c0", "nan"],
+])
+def test_nan_c0_is_a_schema_error(argv, capsys):
+    assert_one_schema_error(main(argv), capsys, names="c0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["diamond3", "upper-bound", "--c-sum0", "nan"],
+    ["diamond3", "rate-split", "--r0", "nan", "--r1", "0.4"],
+    ["diamond3", "rate-split", "--r0", "0.8", "--r1", "nan"],
+    ["diamond3", "rate-split", "--r0", "0.8", "--r1", "0.4", "--eps", "inf"],
+])
+def test_non_finite_diamond3_input_is_a_schema_error(argv, capsys):
+    assert_one_schema_error(main(argv), capsys)
+
+
+def test_report_with_nan_is_refused_not_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "diamond_upper_bound", lambda c_sum0: float("nan"))
+    out = tmp_path / "report.json"
+    code = main(["--out", str(out), "diamond3", "upper-bound", "--c-sum0", "1.0"])
+    assert_one_schema_error(code, capsys)
+    assert not out.exists()
+
+
+def test_bec_lambda_check_tiny_q_exits_ok(tmp_path):
+    code, out = run(tmp_path, "example", "bec", "lambda-check", "--p", "0", "--q", "1e-300")
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["result"]["infeasible"] is False
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cfdiamond.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import cfdiamond.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

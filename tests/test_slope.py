@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfdiamond.probcore import (
     Alphabet,
@@ -30,6 +31,8 @@ from cfdiamond.slope import (
     perturb,
     slope_curve,
     validate_against_joint,
+    _alignment_rows,
+    _min_deviation,
 )
 from cfdiamond.zoo import ModAddParams, bec_coding_dist, make_bec_pair, make_modadd, \
     modadd_capacity, modadd_coding_dist
@@ -86,6 +89,25 @@ def test_perturbation_invariants_enforced():
     bad2[0, 0, 0, 0, 0] = -0.5
     with pytest.raises(ValueError, match="support"):
         Perturbation(bad2, cd)
+
+
+@pytest.mark.parametrize("levels", [None, 3])
+def test_perturbation_returns_r_exactly(levels):
+    # Few distinct values (levels=3) and many (None) are stored differently;
+    # both must give back the same read-only array.
+    rng = np.random.default_rng(22)
+    spec = full_support_spec(rng, sy1=4, syr=4)
+    cd = markov_cd_from_rows(spec, [[rand_pmf(rng, 12, 0.2) for _ in range(4)]])
+    shape = cd.v_kernel.tensor.shape
+    r = rng.uniform(-1.0, 1.0, shape)
+    if levels is not None:
+        r = np.round(r * levels) / levels
+    r[..., -1] -= r.sum(axis=-1)
+    pert = Perturbation(r, cd)
+    assert np.array_equal(pert.r, r)
+    assert not pert.r.flags.writeable
+    assert not pert.is_zero
+    assert np.array_equal(pert.scaled(-2.0).r, -2.0 * r)
 
 
 def test_perturb_alpha_zero_returns_base():
@@ -331,6 +353,103 @@ def test_duality_consistency_sample():
         assert (t > 1e-9) == (witness is None)
         agree += 1
     assert agree == 30
+
+
+@pytest.mark.parametrize("lam0", [0.137, 0.5, 0.861])
+def test_min_deviation_finds_interior_lambda(lam0):
+    # base = -lam0*drift + a per-row constant: every row is constant in v at
+    # lam0 and only there. Unsupported entries hold junk the search must skip.
+    rng = np.random.default_rng(31)
+    rows, nv = 40, 5
+    free = rng.random((rows, nv)) < 0.7
+    free[:, :2] = True
+    drift = np.where(free, rng.normal(0.0, 3.0, (rows, nv)), 1e6)
+    const = rng.normal(0.0, 10.0, (rows, 1))
+    base = np.where(free, -lam0 * drift + const, -1e6)
+    lam, dev = _min_deviation(base, drift, free)
+    assert lam == pytest.approx(lam0, abs=1e-9)
+    assert dev <= 1e-12
+
+
+def _log_cond(m, tol=1e-12):
+    """log2 p(v | rest) from a marginal whose last axis is v; 0 off support."""
+    total = m.sum(axis=-1, keepdims=True)
+    c = np.divide(m, total, out=np.zeros_like(m), where=total > tol)
+    return np.where(c > tol, np.log2(np.maximum(c, tol)), 0.0)
+
+
+def _grid_deviation(joint, lams):
+    """Largest alignment spread at each lambda, from the pmf directly."""
+    p = joint.pmf  # (u, x, y1, yr, v)
+    l1 = _log_cond(p.sum(axis=3))[:, :, :, None, :]
+    l_y1 = _log_cond(p.sum(axis=(1, 3)))[:, None, :, None, :]
+    l_yr = _log_cond(p.sum(axis=(1, 2)))[:, None, None, :, :]
+    free = p > 1e-12
+    lam = np.asarray(lams)[:, None, None, None, None, None]
+    d = l1 - lam * l_y1 - (1.0 - lam) * l_yr
+    spread = np.where(free, d, -np.inf).max(axis=-1) - np.where(free, d, np.inf).min(axis=-1)
+    spread = np.where(free.sum(axis=-1) >= 2, spread, 0.0)
+    return spread.reshape(len(lams), -1).max(axis=1, initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_min_deviation_beats_every_grid_point(seed, full_support):
+    rng = np.random.default_rng(seed)
+    spec, cd = random_markov_instance(rng, max_size=3, full_support=full_support)
+    joint = build_joint(spec, cd)
+    lam, dev = _min_deviation(*_alignment_rows(joint))
+    assert 0.0 <= lam <= 1.0
+    grid = np.linspace(0.0, 1.0, 1001)
+    assert dev <= _grid_deviation(joint, grid).min() + 1e-12
+    assert dev == pytest.approx(_grid_deviation(joint, [lam])[0], abs=1e-12)
+
+
+def _linprog_value(joint, cd):
+    """The direction LP solved by HiGHS: max t, f1' >= t, f2' >= t, zero sum
+    per tuple, |r| <= 1 on free coordinates."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    p5 = joint.pmf
+    tuple_p = p5.sum(axis=4)
+    mk = cd.v_kernel.tensor[:, 0, 0, :, :]
+    free5 = (tuple_p > 1e-12)[..., None] & (mk[:, None, None, :, :] > 1e-12)
+    coords = np.argwhere(free5)
+    if coords.shape[0] == 0:
+        return 0.0
+
+    l1 = _log_cond(p5.sum(axis=3))
+    l_y1 = _log_cond(p5.sum(axis=(1, 3)))
+    l_yr = _log_cond(p5.sum(axis=(1, 2)))
+    iu, ix, iy1, iyr, iv = coords.T
+    n = coords.shape[0]
+    w = tuple_p[iu, ix, iy1, iyr]
+    a = w * (l1[iu, ix, iy1, iv] - l_y1[iu, iy1, iv])
+    b = w * (l1[iu, ix, iy1, iv] - l_yr[iu, iyr, iv])
+    _, inverse = np.unique(np.ravel_multi_index((iu, ix, iy1, iyr), free5.shape[:4]),
+                           return_inverse=True)
+    a_eq = np.zeros((inverse.max() + 1, n + 1))
+    a_eq[inverse, np.arange(n)] = 1.0
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.vstack([np.append(-a, 1.0), np.append(-b, 1.0)]),
+                  b_ub=np.zeros(2), A_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]),
+                  bounds=[(-1.0, 1.0)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def test_find_direction_matches_linprog():
+    rng = np.random.default_rng(32)
+    cases = [bec_instance(p, q) for p, q in [(0.5, 0.5), (0.2, 0.7), (0.5, 1.0), (0.0, 0.4)]]
+    cases += [random_markov_instance(rng, max_size=4, full_support=k % 2 == 0)
+              for k in range(46)]
+    for spec, cd in cases:
+        joint = build_joint(spec, cd)
+        pert, t_star = find_direction(joint, base=cd)
+        assert t_star == pytest.approx(_linprog_value(joint, cd), abs=1e-9)
+        assert np.abs(pert.r).max(initial=0.0) <= 1.0
+        f1, f2 = f_primes(joint, pert)
+        assert min(f1, f2) == pytest.approx(t_star, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

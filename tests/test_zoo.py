@@ -168,8 +168,12 @@ def test_bec_lambda_degenerate_feasible():
 
 def test_bec_lambda_agrees_with_generic_check():
     rng = np.random.default_rng(40)
-    for k in range(50):
-        if k % 5 == 4:  # mix in degenerate parameters
+    for k in range(52):
+        if k == 50:  # 1 - (1-p)(1-q) rounds to zero unless computed as p + q - pq
+            p, q = 0.0, 1e-300
+        elif k == 51:
+            p, q = 0.0, 1e-13
+        elif k % 5 == 4:  # mix in degenerate parameters
             p = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)]))
             q = float(rng.choice([1.0, rng.uniform(0.05, 0.95)]))
         else:
@@ -189,3 +193,15 @@ def test_param_validation():
         bec_rate(0.5, 0.5, -1.0)
     with pytest.raises(SchemaError):
         make_bec_pair(1.5)
+
+
+@pytest.mark.parametrize("c0", [float("nan"), float("inf")])
+def test_param_validation_rejects_non_finite_c0(c0):
+    with pytest.raises(SchemaError):
+        ModAddParams(0.1, 0.1, c0)
+    with pytest.raises(SchemaError):
+        BecParams(0.5, 0.5, c0)
+    with pytest.raises(SchemaError):
+        bec_rate(0.5, 0.5, c0)
+    with pytest.raises(SchemaError):
+        bec_best_q(0.5, c0)
