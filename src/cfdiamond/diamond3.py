@@ -19,8 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from . import config
-from .probcore import Alphabet, CondKernel, SchemaError
+from .probcore import Alphabet, CondKernel, SchemaError, entropy_rows
 
 
 @dataclass(frozen=True)
@@ -56,36 +55,48 @@ class MacSpec:
                        CondKernel.from_json_dict(obj["kernel"]))
 
 
-def _indep_mi(kernel: np.ndarray, a: float, b: float) -> float:
-    """I(X0,X1;Y) in bits for product inputs Ber(a) x Ber(b)."""
-    tol = config.CONFIG.tol_supp
+#: Grid points evaluated per batch in ``mac_sum_capacity_indep``; bounds its
+#: memory (a few MB) at any resolution.
+_GRID_CHUNK = 1 << 15
+
+
+def _indep_mi(rows: np.ndarray, h_rows: np.ndarray, a: Any, b: Any) -> Any:
+    """I(X0,X1;Y) in bits for product inputs Ber(a) x Ber(b), elementwise.
+
+    ``rows`` is the (4, |Y|) kernel and ``h_rows`` its row entropies. ``a``
+    and ``b`` are floats, or arrays that broadcast against each other; the
+    result has their broadcast shape reversed, so a row vector ``a`` and a
+    column vector ``b`` give values indexed [a, b].
+    """
     px = np.array([(1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b])
-    rows = kernel.reshape(4, -1)
-    py = px @ rows
-    def h(p: np.ndarray) -> float:
-        p = p[p > tol]
-        return float(-(p * np.log2(p)).sum()) if p.size else 0.0
-    h_cond = float(sum(px[i] * h(rows[i]) for i in range(4)))
-    return h(py) - h_cond
+    h_cond = px[0] * h_rows[0] + px[1] * h_rows[1] + px[2] * h_rows[2] + px[3] * h_rows[3]
+    return entropy_rows(px.T @ rows) - h_cond.T
 
 
 def mac_sum_capacity_indep(mac: MacSpec, grid_resolution: int) -> float:
     """Max of I(X0,X1;Y) over independent Bernoulli inputs.
 
     Grid scan over the two input biases followed by coordinate refinement
-    with halved steps; a lower bound converging with resolution.
+    with halved steps; a lower bound converging with resolution. The scan
+    takes the first maximum in row-major (a, then b) order and is evaluated
+    in batches of at most ``_GRID_CHUNK`` points, so memory stays bounded
+    at any resolution; the refinement moves one coordinate at a time.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    kernel = mac.kernel.rows
+    rows = mac.kernel.rows
+    h_rows = entropy_rows(rows)
     grid = np.linspace(0.0, 1.0, grid_resolution + 1)
     best = -np.inf
     best_ab = (0.5, 0.5)
-    for a in grid:
-        for b in grid:
-            val = _indep_mi(kernel, a, b)
-            if val > best:
-                best, best_ab = val, (float(a), float(b))
+    per_chunk = max(1, _GRID_CHUNK // grid.size)
+    for start in range(0, grid.size, per_chunk):
+        a = grid[start:start + per_chunk]
+        vals = _indep_mi(rows, h_rows, a[None, :], grid[:, None])
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best:
+            i, j = divmod(k, grid.size)
+            best, best_ab = float(vals.flat[k]), (float(a[i]), float(grid[j]))
     a, b = best_ab
     step = 1.0 / grid_resolution
     for _ in range(20):
@@ -96,7 +107,7 @@ def mac_sum_capacity_indep(mac: MacSpec, grid_resolution: int) -> float:
             for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
                 na = min(1.0, max(0.0, a + da))
                 nb = min(1.0, max(0.0, b + db))
-                val = _indep_mi(kernel, na, nb)
+                val = float(_indep_mi(rows, h_rows, na, nb))
                 if val > best + 1e-15:
                     best, a, b = val, na, nb
                     moved = True

@@ -309,6 +309,21 @@ def _h_bits(p: np.ndarray) -> float:
     return float(-(flat * np.log2(flat)).sum())
 
 
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropies in bits along the last axis of an array of pmfs.
+
+    Entries at or below ``tol_supp`` count as zeros. The temporaries are one
+    float array and one mask of the input's shape, so callers bound memory
+    by the size of what they pass.
+    """
+    p = np.asarray(p, dtype=float)
+    supported = p > config.CONFIG.tol_supp
+    terms = np.where(supported, p, 1.0)
+    np.log2(terms, out=terms)
+    np.multiply(terms, p, out=terms, where=supported)
+    return -terms.sum(axis=-1)
+
+
 def entropy(d: FiniteDist, vars: Any = None) -> float:
     """Shannon entropy in bits of the marginal on ``vars`` (all if None)."""
     names = _as_names(vars) if vars is not None else d.names

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import config
-from .probcore import Alphabet, CondKernel, FiniteDist, SchemaError, binary_entropy
+from .probcore import Alphabet, CondKernel, FiniteDist, SchemaError, binary_entropy, entropy_rows
 from .relaynet import U, V, X, Y1, YR, CodingDist, RelayNetSpec
 
 
@@ -122,12 +122,6 @@ def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
     return np.asarray(out, dtype=float) / resolution
 
 
-def _h_rows(rows: np.ndarray) -> np.ndarray:
-    tol = config.CONFIG.tol_supp
-    safe = np.maximum(rows, tol)
-    return -np.where(rows > tol, rows * np.log2(safe), 0.0).sum(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class CapacitySearchResult:
     """Best value found, its argument, and the convergence trace.
@@ -147,6 +141,15 @@ class CapacitySearchResult:
                 "trace": [{"stage": s, "value": v} for s, v in self.trace]}
 
 
+#: Grid-scan constants of ``modadd_capacity``. The scan ranks row pairs in
+#: groups of ``_RANKED_PAIRS // m`` first rows (of m grid rows), and the
+#: grouping decides which of equally good pairs seed the refinement. It
+#: evaluates a group in batches of at most ``_SCAN_ENTRIES`` stacked pmf
+#: entries, which bounds its memory.
+_RANKED_PAIRS = 2_000_000
+_SCAN_ENTRIES = 1 << 18
+
+
 def modadd_capacity(params: ModAddParams, grid_resolution: int,
                     v_size: int = 3, refine_steps: int = 8) -> CapacitySearchResult:
     """Search max 1 - H(Z|V) over p(v | yr) subject to I(Yr;V) <= c0.
@@ -156,6 +159,10 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     information constraint (beyond a 1e-9 slack) are discarded, not
     penalized. The default |V| = 3 gives the relay output alphabet one
     spare letter; the result is reported as a lower bound.
+
+    Every candidate pair of kernel rows is scored by one entropy pass over
+    the stacked pmfs p(v), p(z=0, v) and p(z=1, v); the grid scan does this
+    in batches of row pairs so its memory stays bounded at any resolution.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -164,23 +171,34 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     pw = np.array([1.0 - delta, delta])
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
     p_yr = p_zyr.sum(axis=0)
+    # p(v), p(z=0, v), p(z=1, v) as mixtures of the rows p(v | yr=0), p(v | yr=1).
+    mix = np.vstack([p_yr, p_zyr])[:, :, None, None, None]
     slack = 1e-9
 
+    def batch_eval(c0s: np.ndarray, h0: np.ndarray, c1s: np.ndarray, h1: np.ndarray) -> np.ndarray:
+        """Objective for every row pair (c0s[i], c1s[j]), -inf where infeasible.
+
+        ``h0`` and ``h1`` are the entropies of the rows in ``c0s`` and ``c1s``.
+        """
+        stacked = mix[:, 0] * c0s[None, :, None, :] + mix[:, 1] * c1s[None, None, :, :]
+        hv, hz0, hz1 = entropy_rows(stacked)
+        info = hv - (p_yr[0] * h0[:, None] + p_yr[1] * h1[None, :])
+        obj = 1.0 - (hz0 + hz1 - hv)
+        return np.where(info <= c0 + slack, obj, -np.inf)
+
     rows = _simplex_grid(v_size, grid_resolution)
-    h_rows = _h_rows(rows)
+    h_rows = entropy_rows(rows)
     m = rows.shape[0]
     n_starts = 24
     candidates: list[tuple[float, int, int]] = []
-    chunk = max(1, int(2e6) // max(m, 1))
-    for start in range(0, m, chunk):
-        r0 = rows[start:start + chunk]
-        pv = p_yr[0] * r0[:, None, :] + p_yr[1] * rows[None, :, :]
-        hv = _h_rows(pv)
-        info = hv - (p_yr[0] * h_rows[start:start + chunk, None] + p_yr[1] * h_rows[None, :])
-        pzv0 = p_zyr[0, 0] * r0[:, None, :] + p_zyr[0, 1] * rows[None, :, :]
-        pzv1 = p_zyr[1, 0] * r0[:, None, :] + p_zyr[1, 1] * rows[None, :, :]
-        obj = 1.0 - (_h_rows(pzv0) + _h_rows(pzv1) - hv)
-        obj = np.where(info <= c0 + slack, obj, -np.inf)
+    group = max(1, _RANKED_PAIRS // m)
+    batch = max(1, _SCAN_ENTRIES // (3 * m * v_size))
+    for start in range(0, m, group):
+        stop = min(m, start + group)
+        obj = np.empty((stop - start, m))
+        for lo in range(start, stop, batch):
+            hi = min(stop, lo + batch)
+            obj[lo - start:hi - start] = batch_eval(rows[lo:hi], h_rows[lo:hi], rows, h_rows)
         flat = obj.ravel()
         top = np.argpartition(flat, -min(n_starts, flat.size))[-min(n_starts, flat.size):]
         for f in top:
@@ -198,35 +216,26 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     # per-row exchanges stall. Multi-start from the top grid pairs escapes
     # shallow basins of the coarse grid.
     ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-
-    def local_offsets(window: float) -> np.ndarray:
-        axes = np.meshgrid(*([ticks * window] * (v_size - 1)), indexing="ij")
-        head = np.stack([a.ravel() for a in axes], axis=1)
-        return np.hstack([head, -head.sum(axis=1, keepdims=True)])
-
-    def batch_eval(c0s: np.ndarray, c1s: np.ndarray) -> np.ndarray:
-        pv = p_yr[0] * c0s[:, None, :] + p_yr[1] * c1s[None, :, :]
-        hv = _h_rows(pv)
-        info = hv - (p_yr[0] * _h_rows(c0s)[:, None] + p_yr[1] * _h_rows(c1s)[None, :])
-        pzv0 = p_zyr[0, 0] * c0s[:, None, :] + p_zyr[0, 1] * c1s[None, :, :]
-        pzv1 = p_zyr[1, 0] * c0s[:, None, :] + p_zyr[1, 1] * c1s[None, :, :]
-        obj = 1.0 - (_h_rows(pzv0) + _h_rows(pzv1) - hv)
-        return np.where(info <= c0 + slack, obj, -np.inf)
+    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"), axis=-1)
+    unit = unit.reshape(-1, v_size - 1)
+    windows = [1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps)]
+    offsets = []
+    for window in windows:
+        head = unit * window
+        offsets.append(np.hstack([head, -head.sum(axis=1, keepdims=True)]))
 
     def refine(row0: np.ndarray, row1: np.ndarray, val: float):
-        current = [row0.copy(), row1.copy()]
+        current = [row0, row1]
         steps = []
-        window = 1.0 / grid_resolution
-        for _ in range(refine_steps):
+        for window, offs in zip(windows, offsets):
             for _ in range(40):  # move budget per window size
-                offs = local_offsets(window)
                 c0s = current[0][None, :] + offs
                 c1s = current[1][None, :] + offs
                 c0s = c0s[(c0s >= -1e-15).all(axis=1)]
                 c1s = c1s[(c1s >= -1e-15).all(axis=1)]
                 np.clip(c0s, 0.0, 1.0, out=c0s)
                 np.clip(c1s, 0.0, 1.0, out=c1s)
-                obj = batch_eval(c0s, c1s)
+                obj = batch_eval(c0s, entropy_rows(c0s), c1s, entropy_rows(c1s))
                 flat = int(np.argmax(obj))
                 i, j = divmod(flat, c1s.shape[0])
                 if obj[i, j] > val + 1e-15:
@@ -234,8 +243,7 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
                     current = [c0s[i], c1s[j]]
                 else:
                     break
-            window /= 2.0
-            steps.append((f"refine/{window:.3e}", val))
+            steps.append((f"refine/{window / 2.0:.3e}", val))
         return val, current, steps
 
     best_val = -np.inf
@@ -365,10 +373,11 @@ class BecLambdaCheck:
 def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     """Decide whether an exponential-alignment witness exists at (p, q).
 
-    The only supported letter pair in the compression channel is
-    (v = x, v = e) under yr = x, which exists exactly when both erasure
-    parameters are interior. Each direct-channel branch y1 = x and y1 = e
-    then pins one linear equation in lambda:
+    The only letter pair the compression channel can support is
+    (v = x, v = e) under yr = x. A direct-channel branch y1 = x or y1 = e
+    pins one linear equation in lambda when the joint gives both of its
+    cells (x, y1, yr = x, v = x) and (x, y1, yr = x, v = e) mass above
+    ``tol_supp``, the support rule of the generic alignment check:
 
         log2 LHS = (1-lambda) * log2((1-q)/q) + lambda * log2(branch ratio)
 
@@ -378,9 +387,10 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     lambda, so its minimum over [0, 1] lies at an end, at a root of one
     residual, or where the two residuals meet in absolute value; all are
     evaluated (lambda = 0, then 1, is returned when it passes ``tol_dev``).
-    Infeasible means the minimum exceeds ``tol_dev``. Degenerate parameter
-    values leave no constraints at all, so the test is feasible there; this
-    matches the support-aware alignment check on the assembled joint.
+    Infeasible means the minimum exceeds ``tol_dev``. Parameters at or near
+    the edges of [0, 1] can leave no branch supported, and with no
+    constraints the test is feasible; this matches the support-aware
+    alignment check on the assembled joint.
     """
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
@@ -389,17 +399,14 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     lost = p + q - p * q  # 1 - keep, without cancellation when keep rounds to 1
 
     constraints: list[tuple[float, float]] = []  # (intercept, slope) of residual(lam)
-    pair_exists = 0.0 < q < 1.0 and p < 1.0
-    if pair_exists:
-        lhs = np.log2(keep / lost)
-        base = np.log2((1.0 - q) / q)
-        branch_x = lhs
-        branch_e = np.log2(0.5 * keep / lost)
-        # residual(lam) = base + lam * (branch - base) - lhs
-        if p < 1.0:  # y1 = x occurs whenever the direct channel passes
-            constraints.append((base - lhs, branch_x - base))
-        if p > 0.0:  # y1 = e occurs only with actual erasures
-            constraints.append((base - lhs, branch_e - base))
+    tol = config.CONFIG.tol_supp
+    for branch, ratio in ((1.0 - p, 1.0), (p, 0.5)):  # y1 = x, then y1 = e
+        cell = 0.5 * (1.0 - p) * branch  # p(x, y1, yr = x), uniform x
+        if cell * (1.0 - q) > tol and cell * q > tol:
+            lhs = np.log2(keep / lost)
+            base = np.log2((1.0 - q) / q)
+            # residual(lam) = base + lam * (branch ratio - base) - lhs
+            constraints.append((base - lhs, np.log2(ratio * keep / lost) - base))
 
     if not constraints:
         return BecLambdaCheck(False, 0.0, 0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfdiamond import config
 from cfdiamond.probcore import (
     Alphabet,
     CondKernel,
@@ -13,6 +14,7 @@ from cfdiamond.probcore import (
     condition,
     conditional_entropy,
     entropy,
+    entropy_rows,
     marginalize,
     mutual_information,
     reorder,
@@ -50,6 +52,24 @@ def test_entropy_point_mass():
 def test_entropy_bernoulli_quarter():
     d = dist(("a", 2), [0.25, 0.75])
     assert entropy(d) == pytest.approx(0.8112781, abs=1e-6)
+
+
+def test_entropy_rows_matches_entropy_per_row():
+    rng = np.random.default_rng(3)
+    pmfs = np.stack([rand_pmf(rng, 4) for _ in range(6)]).reshape(2, 3, 4)
+    pmfs[0, 1] = [0.0, 1.0, 0.0, 0.0]
+    pmfs[1, 2] = [0.5, 0.5 - 1e-13, 1e-13, 0.0]
+    h = entropy_rows(pmfs)
+    assert h.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert h[idx] == pytest.approx(entropy(dist(("a", 4), pmfs[idx])), abs=1e-12)
+
+
+def test_entropy_rows_counts_entries_at_tol_supp_as_zero():
+    with config.temporary_tolerances(tol_supp=0.1):
+        h = entropy_rows(np.array([[0.1, 0.9], [0.2, 0.8]]))
+    assert h[0] == pytest.approx(-0.9 * np.log2(0.9), abs=1e-15)
+    assert h[1] == pytest.approx(binary_entropy(0.2), abs=1e-15)
 
 
 def test_entropy_unknown_variable():

@@ -168,11 +168,13 @@ def test_bec_lambda_degenerate_feasible():
 
 def test_bec_lambda_agrees_with_generic_check():
     rng = np.random.default_rng(40)
-    for k in range(52):
+    for k in range(55):
         if k == 50:  # 1 - (1-p)(1-q) rounds to zero unless computed as p + q - pq
             p, q = 0.0, 1e-300
         elif k == 51:
             p, q = 0.0, 1e-13
+        elif k >= 52:  # one of the two compared cells at or below tol_supp
+            p, q = ((0.5, 1e-13), (0.5, 1 - 1e-13), (1 - 1e-13, 0.5))[k - 52]
         elif k % 5 == 4:  # mix in degenerate parameters
             p = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)]))
             q = float(rng.choice([1.0, rng.uniform(0.05, 0.95)]))
