@@ -1,7 +1,10 @@
 """Finite-alphabet rate calculator and infinite-slope certifier for relay
 networks with a rate-limited cooperation facilitator."""
 
-from .config import CONFIG, Tolerances, set_tolerances, temporary_tolerances
+from typing import Any
+
+from . import config
+from .config import Tolerances, set_tolerances, temporary_tolerances
 from .probcore import (
     Alphabet,
     CondKernel,
@@ -78,3 +81,11 @@ from .diamond3 import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> Any:
+    # set_tolerances and temporary_tolerances replace config.CONFIG, so a
+    # copy bound here at import would go stale; resolve it on each access.
+    if name == "CONFIG":
+        return config.CONFIG
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -341,13 +341,20 @@ def conditional_entropy(d: FiniteDist, target: Any, given: Any) -> float:
 
 
 def mutual_information(d: FiniteDist, a: Any, b: Any, given: Any = None) -> float:
-    """I(a; b | given) in bits, clamped to be nonnegative on return."""
+    """I(a; b | given) in bits.
+
+    A negative value within ``tol_norm`` of zero is rounding and returns
+    0.0; a more negative one (or NaN) raises ``InfeasibleError``.
+    """
     aa = _as_names(a)
     bb = _as_names(b)
     gg = _as_names(given)
     _check_disjoint(aa, bb, gg)
     raw = (entropy(d, aa + gg) + entropy(d, bb + gg)
            - entropy(d, aa + bb + gg) - entropy(d, gg))
+    if not raw >= -config.CONFIG.tol_norm:
+        raise InfeasibleError(f"mutual information {raw!r} is not >= -tol_norm "
+                              f"= -{config.CONFIG.tol_norm}")
     return max(0.0, raw)
 
 

@@ -688,10 +688,6 @@ class ReductionResult:
     rate_residual: float   # |I(X;Y1,V|U) - I(X;Y1,W|U)|
     penalty_slack: float   # I(Yr;V|U,X,Y1) - I(Yr;W|U,X,Y1)
 
-    def w_map(self, u: int, yr: int) -> int:
-        """Component index of the support of p(. | u, yr)."""
-        return int(self.w_of_yr[u, yr])
-
     def to_json_dict(self) -> dict[str, Any]:
         return {"w_of_v": self.w_of_v.tolist(),
                 "w_of_yr": self.w_of_yr.tolist(),

@@ -155,14 +155,19 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     """Search max 1 - H(Z|V) over p(v | yr) subject to I(Yr;V) <= c0.
 
     Global simplex-grid scan at ``grid_resolution`` followed by local
-    joint-grid refinement with window halving. Points violating the
-    information constraint (beyond a 1e-9 slack) are discarded, not
-    penalized. The default |V| = 3 gives the relay output alphabet one
-    spare letter; the result is reported as a lower bound.
+    joint-grid refinement with window halving from the best grid pairs.
+    Points violating the information constraint (beyond a 1e-9 slack) are
+    discarded, not penalized. The default |V| = 3 gives the relay output
+    alphabet one spare letter; the result is reported as a lower bound.
 
-    Every candidate pair of kernel rows is scored by one entropy pass over
-    the stacked pmfs p(v), p(z=0, v) and p(z=1, v); the grid scan does this
-    in batches of row pairs so its memory stays bounded at any resolution.
+    Row pairs are scored feasibility first: H(V) and the I(Yr;V) <= c0 test
+    for every pair, the two H(Z, V) entropies only for the feasible ones.
+    The grid scan scores batches of row pairs; the refinement moves all
+    starts in lockstep, scoring the offset grids of every start still
+    improving in one pass, in chunks of whole starts (or of one start's rows
+    when a start alone is too large). Both keep the stacked pmf entries
+    within ``_SCAN_ENTRIES``, so memory stays bounded at any resolution and
+    any |V|.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -171,20 +176,27 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     pw = np.array([1.0 - delta, delta])
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
     p_yr = p_zyr.sum(axis=0)
-    # p(v), p(z=0, v), p(z=1, v) as mixtures of the rows p(v | yr=0), p(v | yr=1).
-    mix = np.vstack([p_yr, p_zyr])[:, :, None, None, None]
     slack = 1e-9
 
-    def batch_eval(c0s: np.ndarray, h0: np.ndarray, c1s: np.ndarray, h1: np.ndarray) -> np.ndarray:
-        """Objective for every row pair (c0s[i], c1s[j]), -inf where infeasible.
+    def pair_eval(a: np.ndarray, ha: np.ndarray, b: np.ndarray, hb: np.ndarray,
+                  usable: np.ndarray | bool = True) -> np.ndarray:
+        """Objective for every row pair (a, b), -inf where infeasible.
 
-        ``h0`` and ``h1`` are the entropies of the rows in ``c0s`` and ``c1s``.
+        ``a`` and ``b`` hold rows p(v | yr=0) and p(v | yr=1) broadcasting to
+        one shape (..., |V|), ``ha`` and ``hb`` their entropies; pairs where
+        ``usable`` is False count as infeasible.
         """
-        stacked = mix[:, 0] * c0s[None, :, None, :] + mix[:, 1] * c1s[None, None, :, :]
-        hv, hz0, hz1 = entropy_rows(stacked)
-        info = hv - (p_yr[0] * h0[:, None] + p_yr[1] * h1[None, :])
-        obj = 1.0 - (hz0 + hz1 - hv)
-        return np.where(info <= c0 + slack, obj, -np.inf)
+        pv = p_yr[0] * a + p_yr[1] * b
+        hv = entropy_rows(pv)
+        feasible = (hv - (p_yr[0] * ha + p_yr[1] * hb) <= c0 + slack) & usable
+        a = np.broadcast_to(a, pv.shape)[feasible]
+        b = np.broadcast_to(b, pv.shape)[feasible]
+        del pv
+        hzv = (entropy_rows(p_zyr[0, 0] * a + p_zyr[0, 1] * b)
+               + entropy_rows(p_zyr[1, 0] * a + p_zyr[1, 1] * b))
+        obj = np.full(hv.shape, -np.inf)
+        obj[feasible] = 1.0 - (hzv - hv[feasible])
+        return obj
 
     rows = _simplex_grid(v_size, grid_resolution)
     h_rows = entropy_rows(rows)
@@ -198,7 +210,8 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
         obj = np.empty((stop - start, m))
         for lo in range(start, stop, batch):
             hi = min(stop, lo + batch)
-            obj[lo - start:hi - start] = batch_eval(rows[lo:hi], h_rows[lo:hi], rows, h_rows)
+            obj[lo - start:hi - start] = pair_eval(rows[lo:hi, None], h_rows[lo:hi, None],
+                                                   rows, h_rows)
         flat = obj.ravel()
         top = np.argpartition(flat, -min(n_starts, flat.size))[-min(n_starts, flat.size):]
         for f in top:
@@ -214,47 +227,67 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     # half the current window, window halving per step. Moving the rows
     # together lets the search slide along the I(Yr;V) = c0 boundary, where
     # per-row exchanges stall. Multi-start from the top grid pairs escapes
-    # shallow basins of the coarse grid.
+    # shallow basins of the coarse grid. Each start takes the first best
+    # pair of its grid in row-major order and stops at its first move that
+    # does not improve; offsets leaving the simplex score -inf, and the
+    # centre offset (the current pair) is always on it.
     ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"), axis=-1)
     unit = unit.reshape(-1, v_size - 1)
+    n_offs = unit.shape[0]
     windows = [1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps)]
     offsets = []
     for window in windows:
         head = unit * window
         offsets.append(np.hstack([head, -head.sum(axis=1, keepdims=True)]))
 
-    def refine(row0: np.ndarray, row1: np.ndarray, val: float):
-        current = [row0, row1]
-        steps = []
-        for window, offs in zip(windows, offsets):
-            for _ in range(40):  # move budget per window size
-                c0s = current[0][None, :] + offs
-                c1s = current[1][None, :] + offs
-                c0s = c0s[(c0s >= -1e-15).all(axis=1)]
-                c1s = c1s[(c1s >= -1e-15).all(axis=1)]
-                np.clip(c0s, 0.0, 1.0, out=c0s)
-                np.clip(c1s, 0.0, 1.0, out=c1s)
-                obj = batch_eval(c0s, entropy_rows(c0s), c1s, entropy_rows(c1s))
-                flat = int(np.argmax(obj))
-                i, j = divmod(flat, c1s.shape[0])
-                if obj[i, j] > val + 1e-15:
-                    val = float(obj[i, j])
-                    current = [c0s[i], c1s[j]]
-                else:
-                    break
-            steps.append((f"refine/{window / 2.0:.3e}", val))
-        return val, current, steps
+    starts = candidates[:n_starts]
+    vals = np.array([val for val, _, _ in starts])
+    current = np.stack([rows[[i for _, i, _ in starts]], rows[[j for _, _, j in starts]]], axis=1)
+    window_vals = np.empty((len(starts), len(windows)))
+    # starts per score chunk, and offsets of row 0 per chunk
+    start_chunk = max(1, _SCAN_ENTRIES // (3 * n_offs * n_offs * v_size))
+    offs_chunk = min(n_offs, max(1, _SCAN_ENTRIES // (3 * n_offs * v_size)))
+    for w, offs in enumerate(offsets):
+        active = np.arange(len(starts))
+        for _ in range(40):  # move budget per window size
+            cand = current[active][:, :, None, :] + offs
+            usable = (cand >= -1e-15).all(axis=-1)
+            np.clip(cand, 0.0, 1.0, out=cand)
+            h = entropy_rows(cand)
+            # Score whole starts per chunk, or offsets of row 0 of one start
+            # per chunk when a start alone exceeds it. The first maximum of
+            # each row, then the first row reaching the start's maximum, is
+            # the first maximum of the start's grid in row-major order.
+            row_arg = np.empty((active.size, n_offs), dtype=np.intp)
+            row_best = np.empty((active.size, n_offs))
+            for s in range(0, active.size, start_chunk):
+                t = min(active.size, s + start_chunk)
+                for r in range(0, n_offs, offs_chunk):
+                    q = min(n_offs, r + offs_chunk)
+                    obj = pair_eval(cand[s:t, 0, r:q, None], h[s:t, 0, r:q, None],
+                                    cand[s:t, 1, None], h[s:t, 1, None],
+                                    usable[s:t, 0, r:q, None] & usable[s:t, 1, None])
+                    row_arg[s:t, r:q] = obj.argmax(axis=-1)
+                    row_best[s:t, r:q] = obj.max(axis=-1)
+            at = np.arange(active.size)
+            i = row_best.argmax(axis=1)
+            j = row_arg[at, i]
+            best = row_best[at, i]
+            better = best > vals[active] + 1e-15
+            active = active[better]
+            vals[active] = best[better]
+            current[active, 0] = cand[better, 0, i[better]]
+            current[active, 1] = cand[better, 1, j[better]]
+            if not active.size:
+                break
+        window_vals[:, w] = vals
 
-    best_val = -np.inf
-    best_rows = None
-    best_steps: list[tuple[str, float]] = []
-    for val0, i, j in candidates[:n_starts]:
-        val, current, steps = refine(rows[i], rows[j], val0)
-        if val > best_val:
-            best_val, best_rows, best_steps = val, current, steps
-    trace = [(f"grid/{grid_resolution}", grid_best)] + best_steps
-    return CapacitySearchResult(best_val, np.vstack(best_rows), tuple(trace))
+    best_start = int(np.argmax(vals))  # the first best, as a strict > over the starts
+    trace = [(f"grid/{grid_resolution}", grid_best)]
+    trace += [(f"refine/{window / 2.0:.3e}", float(v))
+              for window, v in zip(windows, window_vals[best_start])]
+    return CapacitySearchResult(float(vals[best_start]), current[best_start].copy(), tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ evaluations: ``mac_sum_capacity_indep`` calling a per-point mutual
 information in a Python double loop, and ``modadd_capacity`` rebuilding its
 offset grid and running three entropy passes per refinement move. Batching
 the evaluations must leave every search step, hence every output, as it was.
+``reference_modadd_capacity`` keeps the search that refines one start at a
+time and scores all three entropies of every pair; the lockstep,
+feasibility-first search must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfdiamond import diamond3
+from cfdiamond import diamond3, zoo
 from cfdiamond.diamond3 import MacSpec, mac_sum_capacity_indep
 from cfdiamond.probcore import Alphabet, CondKernel, entropy_rows
-from cfdiamond.zoo import ModAddParams, modadd_capacity
+from cfdiamond.zoo import CapacitySearchResult, ModAddParams, modadd_capacity
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "capacity_golden.json").read_text())
 
@@ -98,7 +101,118 @@ def test_mac_capacity_memory_bounded_at_high_resolution():
     assert value[-1] == pytest.approx(1.5, abs=1e-9)
 
 
+def reference_modadd_capacity(params: ModAddParams, grid_resolution: int,
+                              v_size: int = 3, refine_steps: int = 8) -> CapacitySearchResult:
+    """The search refining one start at a time, each move on a filtered grid.
+
+    Every pair gets all three entropies; offsets leaving the simplex are
+    dropped from the move's grid before scoring.
+    """
+    p, delta, c0 = params.p, params.delta, params.c0
+    pz = np.array([1.0 - p, p])
+    pw = np.array([1.0 - delta, delta])
+    p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
+    p_yr = p_zyr.sum(axis=0)
+    mix = np.vstack([p_yr, p_zyr])[:, :, None, None, None]
+
+    def batch_eval(c0s, h0, c1s, h1):
+        stacked = mix[:, 0] * c0s[None, :, None, :] + mix[:, 1] * c1s[None, None, :, :]
+        hv, hz0, hz1 = entropy_rows(stacked)
+        info = hv - (p_yr[0] * h0[:, None] + p_yr[1] * h1[None, :])
+        obj = 1.0 - (hz0 + hz1 - hv)
+        return np.where(info <= c0 + 1e-9, obj, -np.inf)
+
+    rows = zoo._simplex_grid(v_size, grid_resolution)
+    h_rows = entropy_rows(rows)
+    m = rows.shape[0]
+    candidates = []
+    group = max(1, zoo._RANKED_PAIRS // m)
+    for start in range(0, m, group):
+        stop = min(m, start + group)
+        flat = batch_eval(rows[start:stop], h_rows[start:stop], rows, h_rows).ravel()
+        top = np.argpartition(flat, -min(24, flat.size))[-min(24, flat.size):]
+        for f in top:
+            i, j = divmod(int(f), m)
+            if np.isfinite(flat[f]):
+                candidates.append((float(flat[f]), start + i, j))
+    candidates.sort(reverse=True)
+
+    ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"), axis=-1)
+    unit = unit.reshape(-1, v_size - 1)
+    windows = [1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps)]
+
+    def refine(row0, row1, val):
+        current = [row0, row1]
+        steps = []
+        for window in windows:
+            head = unit * window
+            offs = np.hstack([head, -head.sum(axis=1, keepdims=True)])
+            for _ in range(40):
+                c0s = current[0][None, :] + offs
+                c1s = current[1][None, :] + offs
+                c0s = c0s[(c0s >= -1e-15).all(axis=1)]
+                c1s = c1s[(c1s >= -1e-15).all(axis=1)]
+                np.clip(c0s, 0.0, 1.0, out=c0s)
+                np.clip(c1s, 0.0, 1.0, out=c1s)
+                obj = batch_eval(c0s, entropy_rows(c0s), c1s, entropy_rows(c1s))
+                i, j = divmod(int(np.argmax(obj)), c1s.shape[0])
+                if obj[i, j] > val + 1e-15:
+                    val = float(obj[i, j])
+                    current = [c0s[i], c1s[j]]
+                else:
+                    break
+            steps.append((f"refine/{window / 2.0:.3e}", val))
+        return val, current, steps
+
+    best_val, best_rows, best_steps = -np.inf, None, []
+    for val0, i, j in candidates[:24]:
+        val, current, steps = refine(rows[i], rows[j], val0)
+        if val > best_val:
+            best_val, best_rows, best_steps = val, current, steps
+    trace = [(f"grid/{grid_resolution}", candidates[0][0])] + best_steps
+    return CapacitySearchResult(best_val, np.vstack(best_rows), tuple(trace))
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(20)
+    cases = []
+    for n in range(30):
+        p, delta = rng.uniform(0.01, 0.49, size=2)
+        c0 = rng.uniform(0.0, 0.6)
+        cases.append((float(p), float(delta), float(c0), (7, 10, 20)[n % 3], 3, 8))
+    cases += [(0.11, 0.2, 0.0, r, 3, 8) for r in (7, 10, 20)]
+    cases += [(0.2, 0.1, 0.05, 7, 4, 3)]  # 125 x 125 offset pairs per start
+    return cases
+
+
+@pytest.mark.parametrize("p, delta, c0, resolution, v_size, steps", _oracle_cases())
+def test_modadd_capacity_matches_one_start_at_a_time(p, delta, c0, resolution, v_size, steps):
+    params = ModAddParams(p, delta, c0)
+    want = reference_modadd_capacity(params, resolution, v_size, steps)
+    got = modadd_capacity(params, resolution, v_size, steps)
+    assert got.value == want.value
+    assert got.kernel.tobytes() == want.kernel.tobytes()
+    assert got.trace == want.trace
+
+
+@pytest.mark.parametrize("entries", [20_000, 1_000])
+def test_modadd_capacity_chunking_leaves_output_unchanged(monkeypatch, entries):
+    # 20,000 entries score three of the 24 starts per chunk, 1,000 score four
+    # offsets of one start's row 0 per chunk (and three scan rows per batch)
+    monkeypatch.setattr(zoo, "_SCAN_ENTRIES", entries)
+    for p, delta, c0 in [(0.1, 0.1, 0.3), (0.11, 0.2, 0.0), (0.27, 0.08, 0.12)]:
+        params = ModAddParams(p, delta, c0)
+        want = reference_modadd_capacity(params, 7)
+        got = modadd_capacity(params, 7)
+        assert (got.value, got.kernel.tobytes(), got.trace) == (
+            want.value, want.kernel.tobytes(), want.trace)
+
+
 def test_modadd_capacity_memory_no_higher_than_unbatched():
     params = ModAddParams(0.1, 0.1, 0.3)
-    # the unbatched scan over all 231 x 231 row pairs peaked at 9.14 MB
-    assert peak_bytes(lambda: modadd_capacity(params, 20)) < 9.1e6
+    # scoring all three entropies of every pair in the scan peaked at 5.59 MB
+    assert peak_bytes(lambda: modadd_capacity(params, 20)) < 6.0e6
+    # |V| = 4: refining one start at a time peaked at 3.41 MB; a start scores
+    # 15,625 pairs per move, and all 24 starts in one pass peaked at 47.6 MB
+    assert peak_bytes(lambda: modadd_capacity(params, 7, v_size=4, refine_steps=2)) < 3.0e6

@@ -214,6 +214,23 @@ def test_report_with_nan_is_refused_not_written(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_negative_mutual_information_is_an_infeasible_error(tmp_path, monkeypatch, capsys):
+    from cfdiamond import probcore
+    exact = probcore.entropy
+    # every I(a; b | g) moves by -2 |a| |b| bits, far below -tol_norm
+    monkeypatch.setattr(probcore, "entropy", lambda d, vars=None:
+                        exact(d, vars) + len(probcore._as_names(vars)) ** 2)
+    out = tmp_path / "report.json"
+    code = main(["--out", str(out), "example", "bec", "eval-pdcf",
+                 "--p", "0.5", "--q", "0.5", "--c0", "0.25"])
+    assert code == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: infeasible: "), captured.err
+    assert "mutual information" in lines[0]
+    assert not out.exists()
+
+
 def test_bec_lambda_check_tiny_q_exits_ok(tmp_path):
     code, out = run(tmp_path, "example", "bec", "lambda-check", "--p", "0", "--q", "1e-300")
     assert code == EXIT_OK

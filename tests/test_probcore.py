@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfdiamond import config
+import cfdiamond
+from cfdiamond import config, probcore
 from cfdiamond.probcore import (
     Alphabet,
     CondKernel,
     FiniteDist,
+    InfeasibleError,
     SchemaError,
     UndefinedRowError,
     binary_entropy,
@@ -145,6 +147,50 @@ def test_mi_binary_symmetric_channel():
     d = dist(("x", 2), ("y", 2), pmf.ravel())
     assert mutual_information(d, "x", "y") == pytest.approx(1 - binary_entropy(eps), abs=1e-12)
     assert mutual_information(d, "x", "y") == pytest.approx(0.5001, abs=1e-3)
+
+
+def shift_entropies(monkeypatch, scale):
+    """Add scale * (number of variables)**2 to every entropy.
+
+    I(a; b | g) then moves by -2 * scale * |a| * |b|, which forces a
+    negative raw value on independent variables.
+    """
+    exact = probcore.entropy
+    monkeypatch.setattr(probcore, "entropy", lambda d, vars=None:
+                        exact(d, vars) + scale * len(probcore._as_names(vars)) ** 2)
+
+
+def test_mi_negative_within_tol_norm_is_clamped(monkeypatch):
+    rng = np.random.default_rng(2)
+    d = dist(("a", 3), ("b", 3), np.outer(rand_pmf(rng, 3), rand_pmf(rng, 3)).ravel())
+    shift_entropies(monkeypatch, 0.2 * config.CONFIG.tol_norm)  # raw about -0.4 tol_norm
+    assert mutual_information(d, "a", "b") == 0.0
+
+
+def test_mi_negative_beyond_tol_norm_raises(monkeypatch):
+    rng = np.random.default_rng(2)
+    d = dist(("a", 3), ("b", 3), np.outer(rand_pmf(rng, 3), rand_pmf(rng, 3)).ravel())
+    shift_entropies(monkeypatch, 1e-6)
+    with pytest.raises(InfeasibleError, match="tol_norm"):
+        mutual_information(d, "a", "b")
+
+
+def test_package_config_reads_the_live_tolerances():
+    before = config.CONFIG
+    assert cfdiamond.CONFIG is before
+    try:
+        cfdiamond.set_tolerances(tol_dev=1e-5)
+        assert cfdiamond.CONFIG.tol_dev == 1e-5
+        with cfdiamond.temporary_tolerances(tol_dev=1e-3):
+            assert cfdiamond.CONFIG.tol_dev == 1e-3
+            from cfdiamond import CONFIG
+            assert CONFIG.tol_dev == 1e-3
+        assert cfdiamond.CONFIG.tol_dev == 1e-5
+    finally:
+        config.CONFIG = before
+    assert cfdiamond.CONFIG is before
+    with pytest.raises(AttributeError):
+        cfdiamond.no_such_name
 
 
 @settings(max_examples=100, deadline=None)
