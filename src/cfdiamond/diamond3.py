@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .probcore import Alphabet, CondKernel, SchemaError, entropy_rows
+from .probcore import Alphabet, CondKernel, SchemaError, entropy_letters_first
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def _indep_mi(rows: np.ndarray, h_rows: np.ndarray, a: Any, b: Any) -> Any:
     """
     px = np.array([(1 - a) * (1 - b), (1 - a) * b, a * (1 - b), a * b])
     h_cond = px[0] * h_rows[0] + px[1] * h_rows[1] + px[2] * h_rows[2] + px[3] * h_rows[3]
-    return entropy_rows(px.T @ rows) - h_cond.T
+    return (entropy_letters_first((px.T @ rows).T) - h_cond).T
 
 
 def mac_sum_capacity_indep(mac: MacSpec, grid_resolution: int) -> float:
@@ -85,7 +85,7 @@ def mac_sum_capacity_indep(mac: MacSpec, grid_resolution: int) -> float:
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     rows = mac.kernel.rows
-    h_rows = entropy_rows(rows)
+    h_rows = entropy_letters_first(rows.T)
     grid = np.linspace(0.0, 1.0, grid_resolution + 1)
     best = -np.inf
     best_ab = (0.5, 0.5)

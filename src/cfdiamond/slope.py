@@ -657,8 +657,7 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
             continue
         cd_q = perturb(cd, pert, a)
         joint_q = build_joint(spec, cd_q)
-        ccf = mutual_information(joint_q, (X, Y1), V, (U, YR))
-        q1, q2, _, _ = rate_bounds(joint_q, spec.c0)
+        q1, q2, ccf, _ = rate_bounds(joint_q, spec.c0)
         delta = min(q1, q2) - rate_base
         # 1e-15 is float-noise floor, not a support threshold: genuine ccf
         # values at the smallest default alphas sit near 1e-12.

@@ -30,7 +30,8 @@ from typing import Any
 import numpy as np
 
 from . import config
-from .probcore import Alphabet, CondKernel, FiniteDist, SchemaError, binary_entropy, entropy_rows
+from .probcore import (Alphabet, CondKernel, FiniteDist, SchemaError, binary_entropy,
+                       entropy_letters_first)
 from .relaynet import U, V, X, Y1, YR, CodingDist, RelayNetSpec
 
 
@@ -160,14 +161,16 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     discarded, not penalized. The default |V| = 3 gives the relay output
     alphabet one spare letter; the result is reported as a lower bound.
 
-    Row pairs are scored feasibility first: H(V) and the I(Yr;V) <= c0 test
-    for every pair, the two H(Z, V) entropies only for the feasible ones.
-    The grid scan scores batches of row pairs; the refinement moves all
-    starts in lockstep, scoring the offset grids of every start still
-    improving in one pass, in chunks of whole starts (or of one start's rows
-    when a start alone is too large). Both keep the stacked pmf entries
-    within ``_SCAN_ENTRIES``, so memory stays bounded at any resolution and
-    any |V|.
+    Every pmf array is stored letters first, shape (|V|, ...), so mixing two
+    rows and summing an entropy over the few letters run as whole-array
+    passes over contiguous memory. Each batch of row pairs gets H(V), the
+    I(Yr;V) <= c0 test and both H(Z, V) entropies on every pair, and
+    infeasible pairs score -inf. The grid scan scores batches of row pairs;
+    the refinement moves all starts in lockstep, scoring the offset grids of
+    every start still improving in one pass, in chunks of whole starts (or
+    of one start's rows when a start alone is too large). Both keep the
+    stacked pmf entries within ``_SCAN_ENTRIES``, so memory stays bounded at
+    any resolution and any |V|.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -182,25 +185,19 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
                   usable: np.ndarray | bool = True) -> np.ndarray:
         """Objective for every row pair (a, b), -inf where infeasible.
 
-        ``a`` and ``b`` hold rows p(v | yr=0) and p(v | yr=1) broadcasting to
-        one shape (..., |V|), ``ha`` and ``hb`` their entropies; pairs where
-        ``usable`` is False count as infeasible.
+        ``a`` and ``b`` hold rows p(v | yr=0) and p(v | yr=1) letters first,
+        broadcasting to one shape (|V|, ...), ``ha`` and ``hb`` their
+        entropies; pairs where ``usable`` is False count as infeasible.
         """
-        pv = p_yr[0] * a + p_yr[1] * b
-        hv = entropy_rows(pv)
+        hv = entropy_letters_first(p_yr[0] * a + p_yr[1] * b)
         feasible = (hv - (p_yr[0] * ha + p_yr[1] * hb) <= c0 + slack) & usable
-        a = np.broadcast_to(a, pv.shape)[feasible]
-        b = np.broadcast_to(b, pv.shape)[feasible]
-        del pv
-        hzv = (entropy_rows(p_zyr[0, 0] * a + p_zyr[0, 1] * b)
-               + entropy_rows(p_zyr[1, 0] * a + p_zyr[1, 1] * b))
-        obj = np.full(hv.shape, -np.inf)
-        obj[feasible] = 1.0 - (hzv - hv[feasible])
-        return obj
+        hzv = (entropy_letters_first(p_zyr[0, 0] * a + p_zyr[0, 1] * b)
+               + entropy_letters_first(p_zyr[1, 0] * a + p_zyr[1, 1] * b))
+        return np.where(feasible, 1.0 - (hzv - hv), -np.inf)
 
-    rows = _simplex_grid(v_size, grid_resolution)
-    h_rows = entropy_rows(rows)
-    m = rows.shape[0]
+    rows = _simplex_grid(v_size, grid_resolution).T.copy()
+    h_rows = entropy_letters_first(rows)
+    m = rows.shape[1]
     n_starts = 24
     candidates: list[tuple[float, int, int]] = []
     group = max(1, _RANKED_PAIRS // m)
@@ -210,8 +207,8 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
         obj = np.empty((stop - start, m))
         for lo in range(start, stop, batch):
             hi = min(stop, lo + batch)
-            obj[lo - start:hi - start] = pair_eval(rows[lo:hi, None], h_rows[lo:hi, None],
-                                                   rows, h_rows)
+            obj[lo - start:hi - start] = pair_eval(rows[:, lo:hi, None], h_rows[lo:hi, None],
+                                                   rows[:, None], h_rows)
         flat = obj.ravel()
         top = np.argpartition(flat, -min(n_starts, flat.size))[-min(n_starts, flat.size):]
         for f in top:
@@ -232,18 +229,20 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     # does not improve; offsets leaving the simplex score -inf, and the
     # centre offset (the current pair) is always on it.
     ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"), axis=-1)
-    unit = unit.reshape(-1, v_size - 1)
-    n_offs = unit.shape[0]
+    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"))
+    unit = unit.reshape(v_size - 1, -1)
+    n_offs = unit.shape[1]
     windows = [1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps)]
     offsets = []
     for window in windows:
         head = unit * window
-        offsets.append(np.hstack([head, -head.sum(axis=1, keepdims=True)]))
+        offsets.append(np.vstack([head, -head.sum(axis=0)]))
 
     starts = candidates[:n_starts]
     vals = np.array([val for val, _, _ in starts])
-    current = np.stack([rows[[i for _, i, _ in starts]], rows[[j for _, _, j in starts]]], axis=1)
+    # current[:, 0, s] and current[:, 1, s] are the two rows of start s
+    current = np.stack([rows[:, [i for _, i, _ in starts]], rows[:, [j for _, _, j in starts]]],
+                       axis=1)
     window_vals = np.empty((len(starts), len(windows)))
     # starts per score chunk, and offsets of row 0 per chunk
     start_chunk = max(1, _SCAN_ENTRIES // (3 * n_offs * n_offs * v_size))
@@ -251,10 +250,10 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     for w, offs in enumerate(offsets):
         active = np.arange(len(starts))
         for _ in range(40):  # move budget per window size
-            cand = current[active][:, :, None, :] + offs
-            usable = (cand >= -1e-15).all(axis=-1)
+            cand = current[:, :, active, None] + offs[:, None, None, :]
+            usable = (cand >= -1e-15).all(axis=0)
             np.clip(cand, 0.0, 1.0, out=cand)
-            h = entropy_rows(cand)
+            h = entropy_letters_first(cand)
             # Score whole starts per chunk, or offsets of row 0 of one start
             # per chunk when a start alone exceeds it. The first maximum of
             # each row, then the first row reaching the start's maximum, is
@@ -265,9 +264,9 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
                 t = min(active.size, s + start_chunk)
                 for r in range(0, n_offs, offs_chunk):
                     q = min(n_offs, r + offs_chunk)
-                    obj = pair_eval(cand[s:t, 0, r:q, None], h[s:t, 0, r:q, None],
-                                    cand[s:t, 1, None], h[s:t, 1, None],
-                                    usable[s:t, 0, r:q, None] & usable[s:t, 1, None])
+                    obj = pair_eval(cand[:, 0, s:t, r:q, None], h[0, s:t, r:q, None],
+                                    cand[:, 1, s:t, None], h[1, s:t, None],
+                                    usable[0, s:t, r:q, None] & usable[1, s:t, None])
                     row_arg[s:t, r:q] = obj.argmax(axis=-1)
                     row_best[s:t, r:q] = obj.max(axis=-1)
             at = np.arange(active.size)
@@ -277,8 +276,8 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
             better = best > vals[active] + 1e-15
             active = active[better]
             vals[active] = best[better]
-            current[active, 0] = cand[better, 0, i[better]]
-            current[active, 1] = cand[better, 1, j[better]]
+            current[:, 0, active] = cand[:, 0, better, i[better]]
+            current[:, 1, active] = cand[:, 1, better, j[better]]
             if not active.size:
                 break
         window_vals[:, w] = vals
@@ -287,7 +286,8 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     trace = [(f"grid/{grid_resolution}", grid_best)]
     trace += [(f"refine/{window / 2.0:.3e}", float(v))
               for window, v in zip(windows, window_vals[best_start])]
-    return CapacitySearchResult(float(vals[best_start]), current[best_start].copy(), tuple(trace))
+    return CapacitySearchResult(float(vals[best_start]), current[:, :, best_start].T.copy(),
+                                tuple(trace))
 
 
 # ---------------------------------------------------------------------------

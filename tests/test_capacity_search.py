@@ -6,8 +6,8 @@ information in a Python double loop, and ``modadd_capacity`` rebuilding its
 offset grid and running three entropy passes per refinement move. Batching
 the evaluations must leave every search step, hence every output, as it was.
 ``reference_modadd_capacity`` keeps the search that refines one start at a
-time and scores all three entropies of every pair; the lockstep,
-feasibility-first search must match it bit for bit.
+time on row-major pmfs, with its own row-major entropy; the lockstep search
+over letters-first arrays must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -22,10 +22,16 @@ import pytest
 
 from cfdiamond import diamond3, zoo
 from cfdiamond.diamond3 import MacSpec, mac_sum_capacity_indep
-from cfdiamond.probcore import Alphabet, CondKernel, entropy_rows
+from cfdiamond.probcore import Alphabet, CondKernel
 from cfdiamond.zoo import CapacitySearchResult, ModAddParams, modadd_capacity
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "capacity_golden.json").read_text())
+
+
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Entropies in bits along the last axis, entries <= 1e-12 as zeros."""
+    terms = np.where(p > 1e-12, p, 1.0)
+    return -(p * np.log2(terms)).sum(axis=-1)
 
 
 def mac_from_rows(rows) -> MacSpec:
@@ -106,7 +112,8 @@ def reference_modadd_capacity(params: ModAddParams, grid_resolution: int,
     """The search refining one start at a time, each move on a filtered grid.
 
     Every pair gets all three entropies; offsets leaving the simplex are
-    dropped from the move's grid before scoring.
+    dropped from the move's grid before scoring. Pmfs are rows (letters on
+    the last axis), scored 64 first rows at a time to bound memory.
     """
     p, delta, c0 = params.p, params.delta, params.c0
     pz = np.array([1.0 - p, p])
@@ -116,11 +123,15 @@ def reference_modadd_capacity(params: ModAddParams, grid_resolution: int,
     mix = np.vstack([p_yr, p_zyr])[:, :, None, None, None]
 
     def batch_eval(c0s, h0, c1s, h1):
-        stacked = mix[:, 0] * c0s[None, :, None, :] + mix[:, 1] * c1s[None, None, :, :]
-        hv, hz0, hz1 = entropy_rows(stacked)
-        info = hv - (p_yr[0] * h0[:, None] + p_yr[1] * h1[None, :])
-        obj = 1.0 - (hz0 + hz1 - hv)
-        return np.where(info <= c0 + 1e-9, obj, -np.inf)
+        out = []
+        for lo in range(0, c0s.shape[0], 64):
+            stacked = (mix[:, 0] * c0s[None, lo:lo + 64, None, :]
+                       + mix[:, 1] * c1s[None, None, :, :])
+            hv, hz0, hz1 = entropy_rows(stacked)
+            info = hv - (p_yr[0] * h0[lo:lo + 64, None] + p_yr[1] * h1[None, :])
+            obj = 1.0 - (hz0 + hz1 - hv)
+            out.append(np.where(info <= c0 + 1e-9, obj, -np.inf))
+        return np.vstack(out)
 
     rows = zoo._simplex_grid(v_size, grid_resolution)
     h_rows = entropy_rows(rows)
@@ -181,8 +192,13 @@ def _oracle_cases():
         p, delta = rng.uniform(0.01, 0.49, size=2)
         c0 = rng.uniform(0.0, 0.6)
         cases.append((float(p), float(delta), float(c0), (7, 10, 20)[n % 3], 3, 8))
-    cases += [(0.11, 0.2, 0.0, r, 3, 8) for r in (7, 10, 20)]
+    # c0 = 0: every kernel with two equal rows scores the same, so many
+    # pairs tie; at resolution 53 the scan ranks two groups of rows
+    cases += [(0.11, 0.2, 0.0, r, 3, 8) for r in (7, 10, 20, 33, 53)]
     cases += [(0.2, 0.1, 0.05, 7, 4, 3)]  # 125 x 125 offset pairs per start
+    # |V| = 5: 625 x 625 offset pairs, so one start alone exceeds a chunk and
+    # its row-0 offsets are scored in slices
+    cases += [(0.2, 0.1, 0.05, 4, 5, 2), (0.1, 0.3, 0.0, 4, 5, 2)]
     return cases
 
 

@@ -16,7 +16,7 @@ from cfdiamond.probcore import (
     condition,
     conditional_entropy,
     entropy,
-    entropy_rows,
+    entropy_letters_first,
     marginalize,
     mutual_information,
     reorder,
@@ -56,22 +56,34 @@ def test_entropy_bernoulli_quarter():
     assert entropy(d) == pytest.approx(0.8112781, abs=1e-6)
 
 
-def test_entropy_rows_matches_entropy_per_row():
+def test_entropy_letters_first_matches_entropy_per_pmf():
     rng = np.random.default_rng(3)
     pmfs = np.stack([rand_pmf(rng, 4) for _ in range(6)]).reshape(2, 3, 4)
     pmfs[0, 1] = [0.0, 1.0, 0.0, 0.0]
     pmfs[1, 2] = [0.5, 0.5 - 1e-13, 1e-13, 0.0]
-    h = entropy_rows(pmfs)
+    h = entropy_letters_first(np.moveaxis(pmfs, -1, 0).copy())
     assert h.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         assert h[idx] == pytest.approx(entropy(dist(("a", 4), pmfs[idx])), abs=1e-12)
 
 
-def test_entropy_rows_counts_entries_at_tol_supp_as_zero():
+def test_entropy_letters_first_counts_entries_at_tol_supp_as_zero():
     with config.temporary_tolerances(tol_supp=0.1):
-        h = entropy_rows(np.array([[0.1, 0.9], [0.2, 0.8]]))
+        h = entropy_letters_first(np.array([[0.1, 0.2], [0.9, 0.8]]))
     assert h[0] == pytest.approx(-0.9 * np.log2(0.9), abs=1e-15)
     assert h[1] == pytest.approx(binary_entropy(0.2), abs=1e-15)
+
+
+@pytest.mark.parametrize("letters", range(2, 8))
+def test_entropy_letters_first_equals_last_axis_sum_bit_for_bit(letters):
+    # below 8 entries numpy adds a last axis in order, as the letters-first
+    # sum does; from 8 it sums pairwise and the last bits may differ
+    rng = np.random.default_rng(letters)
+    rows = rng.dirichlet(np.ones(letters), size=500)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    terms = np.where(rows > config.CONFIG.tol_supp, rows, 1.0)
+    last_axis = -(np.log2(terms) * rows).sum(axis=-1)
+    assert entropy_letters_first(rows.T.copy()).tobytes() == last_axis.tobytes()
 
 
 def test_entropy_unknown_variable():
