@@ -309,27 +309,35 @@ def _h_bits(p: np.ndarray) -> float:
     return float(-(flat * np.log2(flat)).sum())
 
 
-def entropy_letters_first(p: np.ndarray) -> np.ndarray:
-    """Shannon entropies in bits of pmfs stored letters first.
+def entropy_terms(p: np.ndarray) -> np.ndarray:
+    """Elementwise p log2 p, with entries at or below ``tol_supp`` as zeros.
 
-    ``p[k]`` holds letter k of every pmf, so an array of shape (n, ...)
-    gives entropies of shape (...). Entries at or below ``tol_supp`` count
-    as zeros. With the letters on the first axis the sum over them runs as
-    whole-array adds over contiguous memory, which is fast however few the
-    letters. The temporaries are one float array and one mask of the
-    input's shape, so callers bound memory by the size of what they pass.
-
-    On a C-contiguous input the letters are added in order, as numpy's sum
-    along a last axis of fewer than 8 entries does; from 8 letters numpy
-    sums a last axis pairwise, so the two layouts can differ in the last
-    bits.
+    The temporaries are one float array and one mask of the input's shape.
     """
     p = np.asarray(p, dtype=float)
     supported = p > config.CONFIG.tol_supp
     terms = np.where(supported, p, 1.0)
     np.log2(terms, out=terms)
     np.multiply(terms, p, out=terms, where=supported)
-    return -terms.sum(axis=0)
+    return terms
+
+
+def entropy_letters_first(p: np.ndarray) -> np.ndarray:
+    """Shannon entropies in bits of pmfs stored letters first.
+
+    ``p[k]`` holds letter k of every pmf, so an array of shape (n, ...)
+    gives entropies of shape (...): the negated sum of ``entropy_terms``
+    over the first axis. With the letters on the first axis the sum over
+    them runs as whole-array adds over contiguous memory, which is fast
+    however few the letters. Callers bound memory by the size of what they
+    pass.
+
+    On a C-contiguous input the letters are added in order, as numpy's sum
+    along a last axis of fewer than 8 entries does; from 8 letters numpy
+    sums a last axis pairwise, so the two layouts can differ in the last
+    bits.
+    """
+    return -entropy_terms(p).sum(axis=0)
 
 
 def entropy(d: FiniteDist, vars: Any = None) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import config
 from .probcore import (Alphabet, CondKernel, FiniteDist, SchemaError, binary_entropy,
-                       entropy_letters_first)
+                       entropy_letters_first, entropy_terms)
 from .relaynet import U, V, X, Y1, YR, CodingDist, RelayNetSpec
 
 
@@ -145,10 +145,48 @@ class CapacitySearchResult:
 #: Grid-scan constants of ``modadd_capacity``. The scan ranks row pairs in
 #: groups of ``_RANKED_PAIRS // m`` first rows (of m grid rows), and the
 #: grouping decides which of equally good pairs seed the refinement. It
-#: evaluates a group in batches of at most ``_SCAN_ENTRIES`` stacked pmf
-#: entries, which bounds its memory.
+#: scores a group in batches of at most ``_SCAN_ENTRIES // (3 |V|)`` row
+#: pairs, which bounds its memory; so does each refinement chunk.
 _RANKED_PAIRS = 2_000_000
 _SCAN_ENTRIES = 1 << 18
+
+
+def _entropy_term_tables(mix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flattened p log2 p tables of the mixes behind H(V), H(Z=0, V), H(Z=1, V).
+
+    ``mix`` holds the rows p(yr), p(z=0, yr) and p(z=1, yr). ``a`` and ``b``
+    broadcast to one 2-D shape and hold letter values of the rows
+    p(v | yr=0) and p(v | yr=1); row t of the result holds the terms of
+    mix[t, 0] a + mix[t, 1] b, flattened.
+    """
+    return entropy_terms(mix[:, 0, None, None] * a + mix[:, 1, None, None] * b).reshape(3, -1)
+
+
+def _pair_scores(mix: np.ndarray, c0: float, tables: np.ndarray, idx: np.ndarray,
+                 ha: np.ndarray, hb: np.ndarray,
+                 usable: np.ndarray | bool = True) -> np.ndarray:
+    """Objective 1 - H(Z|V) of row pairs (a, b), -inf where infeasible.
+
+    ``mix`` and ``tables`` are as in ``_entropy_term_tables``, and ``idx[v]``
+    holds each pair's flat table index of letter v, so each entropy is a
+    negated sum of gathered terms, added in letter order as
+    ``entropy_letters_first`` adds them. ``ha`` and ``hb`` are the entropies
+    of the rows, broadcasting to the pairs' shape. A pair is feasible when
+    I(Yr;V) <= c0 up to a 1e-9 slack and ``usable`` is True.
+    """
+    buf = np.empty(idx.shape[1:])
+
+    def entropy(terms: np.ndarray) -> np.ndarray:
+        # every index is in range; "wrap" only skips the slower default check
+        acc = np.take(terms, idx[0], mode="wrap")
+        for iv in idx[1:]:
+            acc += np.take(terms, iv, mode="wrap", out=buf)
+        return np.negative(acc, out=acc)
+
+    hv = entropy(tables[0])
+    feasible = (hv - (mix[0, 0] * ha + mix[0, 1] * hb) <= c0 + 1e-9) & usable
+    hzv = entropy(tables[1]) + entropy(tables[2])
+    return np.where(feasible, 1.0 - (hzv - hv), -np.inf)
 
 
 def modadd_capacity(params: ModAddParams, grid_resolution: int,
@@ -161,43 +199,40 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     discarded, not penalized. The default |V| = 3 gives the relay output
     alphabet one spare letter; the result is reported as a lower bound.
 
-    Every pmf array is stored letters first, shape (|V|, ...), so mixing two
-    rows and summing an entropy over the few letters run as whole-array
-    passes over contiguous memory. Each batch of row pairs gets H(V), the
-    I(Yr;V) <= c0 test and both H(Z, V) entropies on every pair, and
-    infeasible pairs score -inf. The grid scan scores batches of row pairs;
-    the refinement moves all starts in lockstep, scoring the offset grids of
-    every start still improving in one pass, in chunks of whole starts (or
-    of one start's rows when a start alone is too large). Both keep the
-    stacked pmf entries within ``_SCAN_ENTRIES``, so memory stays bounded at
-    any resolution and any |V|.
+    Each entropy of a row pair is a sum over letters of p log2 p, where p
+    mixes letter v of both rows, and a letter takes few distinct values
+    across many pairs: the R + 1 levels k / R in the grid scan, and the
+    current letter plus one of that letter's distinct offsets in a
+    refinement move. So the scan, and each move, first tabulates the terms
+    of H(V) and of both H(Z, V) over those values, then scores every pair
+    by gathering its letters' terms and adding them in letter order;
+    infeasible pairs score -inf. Pmf arrays are stored letters first, shape
+    (|V|, ...). The refinement moves all starts in lockstep, scoring the
+    offset grids of every start still improving in one pass, in chunks of
+    whole starts (or of one start's rows when a start alone is too large).
+    Both score at most ``_SCAN_ENTRIES // (3 |V|)`` pairs at a time, so
+    memory stays bounded at any resolution and any |V|.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
+    if v_size < 2:
+        raise ValueError(f"v_size must be at least 2, got {v_size}")
+    if refine_steps < 0:
+        raise ValueError(f"refine_steps must be nonnegative, got {refine_steps}")
     p, delta, c0 = params.p, params.delta, params.c0
     pz = np.array([1.0 - p, p])
     pw = np.array([1.0 - delta, delta])
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
-    p_yr = p_zyr.sum(axis=0)
-    slack = 1e-9
-
-    def pair_eval(a: np.ndarray, ha: np.ndarray, b: np.ndarray, hb: np.ndarray,
-                  usable: np.ndarray | bool = True) -> np.ndarray:
-        """Objective for every row pair (a, b), -inf where infeasible.
-
-        ``a`` and ``b`` hold rows p(v | yr=0) and p(v | yr=1) letters first,
-        broadcasting to one shape (|V|, ...), ``ha`` and ``hb`` their
-        entropies; pairs where ``usable`` is False count as infeasible.
-        """
-        hv = entropy_letters_first(p_yr[0] * a + p_yr[1] * b)
-        feasible = (hv - (p_yr[0] * ha + p_yr[1] * hb) <= c0 + slack) & usable
-        hzv = (entropy_letters_first(p_zyr[0, 0] * a + p_zyr[0, 1] * b)
-               + entropy_letters_first(p_zyr[1, 0] * a + p_zyr[1, 1] * b))
-        return np.where(feasible, 1.0 - (hzv - hv), -np.inf)
+    mix = np.vstack([p_zyr.sum(axis=0), p_zyr])
 
     rows = _simplex_grid(v_size, grid_resolution).T.copy()
     h_rows = entropy_letters_first(rows)
     m = rows.shape[1]
+    # every grid entry is one of the levels k / R, bitwise
+    levels = np.arange(grid_resolution + 1) / grid_resolution
+    tables = _entropy_term_tables(mix, levels[:, None], levels)
+    level_idx = np.rint(rows * grid_resolution).astype(np.intp)
+    a_idx = level_idx * levels.size
     n_starts = 24
     candidates: list[tuple[float, int, int]] = []
     group = max(1, _RANKED_PAIRS // m)
@@ -207,8 +242,9 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
         obj = np.empty((stop - start, m))
         for lo in range(start, stop, batch):
             hi = min(stop, lo + batch)
-            obj[lo - start:hi - start] = pair_eval(rows[:, lo:hi, None], h_rows[lo:hi, None],
-                                                   rows[:, None], h_rows)
+            obj[lo - start:hi - start] = _pair_scores(
+                mix, c0, tables, a_idx[:, lo:hi, None] + level_idx[:, None],
+                h_rows[lo:hi, None], h_rows)
         flat = obj.ravel()
         top = np.argpartition(flat, -min(n_starts, flat.size))[-min(n_starts, flat.size):]
         for f in top:
@@ -233,10 +269,27 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     unit = unit.reshape(v_size - 1, -1)
     n_offs = unit.shape[1]
     windows = [1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps)]
-    offsets = []
+    moves = []
     for window in windows:
         head = unit * window
-        offsets.append(np.vstack([head, -head.sum(axis=0)]))
+        offs = np.vstack([head, -head.sum(axis=0)])
+        # Letter v of a candidate row is the current letter plus one of the
+        # distinct offsets u of letter v, so letter v of a pair takes one of
+        # u.size ** 2 value pairs. Those of every letter are listed end to
+        # end, as table entries: entry e adds pair_offs[:, e] to letter
+        # owner[e] of both rows, and letter v of the pair of offsets (r0, r1)
+        # is entry place_a[v, r0] + place_b[v, r1].
+        letters = [np.unique(o, return_inverse=True) for o in offs]
+        owner, pair_offs, place_a = [], [], []
+        for v, (u, inv) in enumerate(letters):
+            place_a.append(len(owner) + inv * u.size)
+            owner += [v] * u.size ** 2
+            pair_offs += [(a, b) for a in u.tolist() for b in u.tolist()]
+        owner = np.array(owner)
+        # the rows of current.reshape(2 * |V|, -1) that each entry reads
+        sel = np.stack([2 * owner, 2 * owner + 1])
+        moves.append((offs, sel, np.array(pair_offs).T, np.stack(place_a),
+                      np.stack([inv for _, inv in letters])))
 
     starts = candidates[:n_starts]
     vals = np.array([val for val, _, _ in starts])
@@ -247,13 +300,21 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     # starts per score chunk, and offsets of row 0 per chunk
     start_chunk = max(1, _SCAN_ENTRIES // (3 * n_offs * n_offs * v_size))
     offs_chunk = min(n_offs, max(1, _SCAN_ENTRIES // (3 * n_offs * v_size)))
-    for w, offs in enumerate(offsets):
+    for w, (offs, sel, pair_offs, place_a, place_b) in enumerate(moves):
         active = np.arange(len(starts))
         for _ in range(40):  # move budget per window size
-            cand = current[:, :, active, None] + offs[:, None, None, :]
+            cur = current[:, :, active]
+            cand = cur[..., None] + offs[:, None, None, :]
             usable = (cand >= -1e-15).all(axis=0)
             np.clip(cand, 0.0, 1.0, out=cand)
             h = entropy_letters_first(cand)
+            # both rows' values of every entry, (starts, 2, entries), give
+            # term tables (3, starts * entries) holding every term the
+            # move's pairs add up
+            values = cur.reshape(2 * v_size, -1).T[:, sel] + pair_offs
+            np.clip(values, 0.0, 1.0, out=values)
+            n = values.shape[-1]
+            tables = _entropy_term_tables(mix, values[:, 0], values[:, 1])
             # Score whole starts per chunk, or offsets of row 0 of one start
             # per chunk when a start alone exceeds it. The first maximum of
             # each row, then the first row reaching the start's maximum, is
@@ -264,9 +325,10 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
                 t = min(active.size, s + start_chunk)
                 for r in range(0, n_offs, offs_chunk):
                     q = min(n_offs, r + offs_chunk)
-                    obj = pair_eval(cand[:, 0, s:t, r:q, None], h[0, s:t, r:q, None],
-                                    cand[:, 1, s:t, None], h[1, s:t, None],
-                                    usable[0, s:t, r:q, None] & usable[1, s:t, None])
+                    row0 = np.arange(s, t)[:, None] * n + place_a[:, None, r:q]
+                    obj = _pair_scores(mix, c0, tables, row0[..., None] + place_b[:, None, None],
+                                       h[0, s:t, r:q, None], h[1, s:t, None],
+                                       usable[0, s:t, r:q, None] & usable[1, s:t, None])
                     row_arg[s:t, r:q] = obj.argmax(axis=-1)
                     row_best[s:t, r:q] = obj.max(axis=-1)
             at = np.arange(active.size)

@@ -22,7 +22,7 @@ import pytest
 
 from cfdiamond import diamond3, zoo
 from cfdiamond.diamond3 import MacSpec, mac_sum_capacity_indep
-from cfdiamond.probcore import Alphabet, CondKernel
+from cfdiamond.probcore import Alphabet, CondKernel, entropy_letters_first
 from cfdiamond.zoo import CapacitySearchResult, ModAddParams, modadd_capacity
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "capacity_golden.json").read_text())
@@ -232,3 +232,32 @@ def test_modadd_capacity_memory_no_higher_than_unbatched():
     # |V| = 4: refining one start at a time peaked at 3.41 MB; a start scores
     # 15,625 pairs per move, and all 24 starts in one pass peaked at 47.6 MB
     assert peak_bytes(lambda: modadd_capacity(params, 7, v_size=4, refine_steps=2)) < 3.0e6
+
+
+@pytest.mark.parametrize("kwargs, name", [({"grid_resolution": 1}, "grid resolution"),
+                                          ({"v_size": 1}, "v_size"), ({"v_size": 0}, "v_size"),
+                                          ({"refine_steps": -1}, "refine_steps")])
+def test_modadd_capacity_rejects_bad_search_sizes(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        modadd_capacity(ModAddParams(0.1, 0.1, 0.3), **{"grid_resolution": 7, **kwargs})
+
+
+def test_pair_scores_reject_off_simplex_pairs_even_when_best():
+    # Pair 0 is on the simplex. Pair 1 is a clipped refinement candidate:
+    # its offsets took a letter of each row below 0, so both rows sum to
+    # 1.125. Unnormalised, it passes I(Yr;V) <= c0 and outscores pair 0.
+    pz, pw = np.array([0.9, 0.1]), np.array([0.8, 0.2])
+    p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
+    mix = np.vstack([p_zyr.sum(axis=0), p_zyr])
+    raw_a = np.array([[0.5, 0.25, 0.25], [1.0, 0.125, -0.125]])
+    raw_b = np.array([[0.25, 0.5, 0.25], [-0.125, 1.0, 0.125]])
+    usable = (raw_a >= -1e-15).all(axis=1) & (raw_b >= -1e-15).all(axis=1)
+    a, b = np.clip(raw_a, 0.0, 1.0), np.clip(raw_b, 0.0, 1.0)
+    tables = zoo._entropy_term_tables(mix, a, b)
+    idx = np.arange(6).reshape(2, 3).T  # letter v of pair k is table entry 3 k + v
+    ha, hb = entropy_letters_first(a.T), entropy_letters_first(b.T)
+    unmasked = zoo._pair_scores(mix, 1.0, tables, idx, ha, hb)
+    assert np.isfinite(unmasked).all() and unmasked[1] > unmasked[0]
+    masked = zoo._pair_scores(mix, 1.0, tables, idx, ha, hb, usable)
+    assert masked[0] == unmasked[0]
+    assert masked[1] == -np.inf

@@ -1,9 +1,13 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfdiamond
 from cfdiamond import config, probcore
+from cfdiamond.diamond3 import MacSpec, mac_sum_capacity_indep
 from cfdiamond.probcore import (
     Alphabet,
     CondKernel,
@@ -17,6 +21,7 @@ from cfdiamond.probcore import (
     conditional_entropy,
     entropy,
     entropy_letters_first,
+    entropy_terms,
     marginalize,
     mutual_information,
     reorder,
@@ -84,6 +89,41 @@ def test_entropy_letters_first_equals_last_axis_sum_bit_for_bit(letters):
     terms = np.where(rows > config.CONFIG.tol_supp, rows, 1.0)
     last_axis = -(np.log2(terms) * rows).sum(axis=-1)
     assert entropy_letters_first(rows.T.copy()).tobytes() == last_axis.tobytes()
+
+
+@pytest.mark.parametrize("letters", range(2, 8))
+def test_entropy_letters_first_is_negated_sum_of_entropy_terms_bit_for_bit(letters):
+    # the capacity search adds gathered terms letter by letter and relies on
+    # matching entropy_letters_first in every bit
+    rng = np.random.default_rng(100 + letters)
+    p = rng.dirichlet(np.ones(letters), size=(40, 30)).transpose(2, 0, 1).copy()
+    p[rng.random(p.shape) < 0.2] = 0.0
+    terms = entropy_terms(p)
+    in_order = terms[0].copy()
+    for t in terms[1:]:
+        in_order += t
+    h = entropy_letters_first(p)
+    assert h.tobytes() == (-terms.sum(axis=0)).tobytes()
+    assert h.tobytes() == (-in_order).tobytes()
+
+
+def test_entropy_terms_are_zero_at_and_below_tol_supp():
+    p = np.array([0.0, 0.05, 0.1, 0.2, 1.0])
+    with config.temporary_tolerances(tol_supp=0.1):
+        terms = entropy_terms(p)
+    assert terms.tobytes() == np.array([0.0, 0.0, 0.0, 0.2 * np.log2(0.2), 0.0]).tobytes()
+
+
+def test_mac_capacity_goldens_stay_exact():
+    # mac_sum_capacity_indep sums its entropies with entropy_letters_first;
+    # the recorded values come from a scalar double loop
+    golden = json.loads((pathlib.Path(__file__).parent / "capacity_golden.json").read_text())
+    for case in golden["mac"]:
+        rows = np.asarray(case["rows"], dtype=float)
+        x0, x1 = Alphabet("x0", 2), Alphabet("x1", 2)
+        mac = MacSpec(x0, x1, CondKernel((x0, x1), (Alphabet("y_w", rows.shape[1]),), rows))
+        for resolution, value in case["values"].items():
+            assert mac_sum_capacity_indep(mac, int(resolution)) == value, (case["name"], resolution)
 
 
 def test_entropy_unknown_variable():
