@@ -8,6 +8,7 @@ apply uniformly and reports can embed the values actually used.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -33,6 +34,12 @@ class Tolerances:
     tol_supp: float = 1e-12
     tol_dev: float = 1e-7
     tol_lp: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 CONFIG = Tolerances()

@@ -208,7 +208,8 @@ def perturb(base: CodingDist, pert: Perturbation, alpha: float) -> CodingDist:
     amax = alpha_max(base, pert)
     if alpha > amax + 1e-15:
         q = base.v_kernel.tensor + alpha * pert.r
-        worst = np.unravel_index(int(np.argmax(np.maximum(-q, q - 1.0))), q.shape)
+        flat = int(np.argmax(np.maximum(-q, q - 1.0)))
+        worst = tuple(int(i) for i in np.unravel_index(flat, q.shape))
         raise AlphaRangeError(
             f"alpha {alpha} exceeds validity limit {amax}; entry (u,x,y1,yr,v)={worst} "
             f"reaches {q[worst]}")

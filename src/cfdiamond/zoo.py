@@ -128,8 +128,10 @@ class CapacitySearchResult:
     """Best value found, its argument, and the convergence trace.
 
     The value is a lower bound on the true maximum; the trace pairs each
-    search stage (grid resolution, then halved refinement steps) with the
-    incumbent value so convergence is visible.
+    search stage (grid resolution, then halved refinement steps) with a
+    value so convergence is visible. The ``grid/R`` entry is the best grid
+    pair's value, but the ``refine/...`` entries follow the start that wins
+    in the end, which may start lower, so they can fall below ``grid/R``.
     """
 
     value: float

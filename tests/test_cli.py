@@ -1,10 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfdiamond
 from cfdiamond import cli
@@ -120,7 +128,7 @@ def test_diamond3_slope_transfer(tmp_path):
     assert json.loads(out.read_text())["result"]["diverging"] is True
 
 
-def test_mac_capacity_action(tmp_path):
+def write_adder_mac(path):
     from cfdiamond.diamond3 import MacSpec
     from cfdiamond.probcore import Alphabet, CondKernel
     rows = np.zeros((4, 3))
@@ -129,8 +137,12 @@ def test_mac_capacity_action(tmp_path):
             rows[a * 2 + b, a + b] = 1.0
     mac = MacSpec(Alphabet("x0", 2), Alphabet("x1", 2),
                   CondKernel((Alphabet("x0", 2), Alphabet("x1", 2)), (Alphabet("y_w", 3),), rows))
+    path.write_text(json.dumps(mac.to_json_dict()))
+
+
+def test_mac_capacity_action(tmp_path):
     mac_path = tmp_path / "mac.json"
-    mac_path.write_text(json.dumps(mac.to_json_dict()))
+    write_adder_mac(mac_path)
     code, out = run(tmp_path, "--grid-resolution", "16", "diamond3", "mac-capacity",
                     "--mac", str(mac_path))
     assert code == EXIT_OK
@@ -246,3 +258,209 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def assert_one_error_line(code, err):
+    """A failing run prints exactly one ``error: <category>: <reason>`` line."""
+    assert code in (EXIT_SCHEMA, EXIT_PRECONDITION, EXIT_INFEASIBLE), (code, err)
+    lines = err.splitlines()
+    assert len(lines) == 1 and re.match(r"error: (schema|precondition|infeasible): ", lines[0]), err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["example"],
+    ["example", "bec", "nope"],
+    ["example", "bec", "--p", "0.5", "rate", "--q", "0.5"],  # family flags follow the action
+    ["example", "modadd", "rate", "--p", "0.1", "--delta", "0.1"],
+    ["example", "bec", "capacity", "--p", "0.1", "--q", "0.1"],
+    ["example", "bec", "rate", "--p", "0.5", "--q", "0.5", "--delta", "0.1"],
+    ["example", "bec", "rate", "--p", "x", "--q", "0.5"],
+    ["diamond3", "rate-split", "--r0", "0.8"],
+    ["diamond3", "slope-transfer"],
+    ["--grid-resolution", "1.5", "diamond3", "upper-bound", "--c-sum0", "1"],
+    ["--format", "xml", "diamond3", "upper-bound", "--c-sum0", "1"],
+])
+def test_parse_errors_print_one_schema_line(argv, capsys):
+    assert_one_schema_error(main(argv), capsys)
+
+
+def test_help_prints_usage_and_exits_ok(capsys):
+    assert main(["-h"]) == EXIT_OK
+    assert main(["example", "bec", "rate", "-h"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: cfdiamond") and "--q" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-pdcf", "--spec", "{dir}", "--coding", "{dir}"],
+    ["diamond3", "slope-transfer", "--curve", "{dir}"],
+    ["diamond3", "mac-capacity", "--mac", "{dir}"],
+    ["diamond3", "mac-capacity", "--mac", "{binary}"],
+    ["--out", "{dir}/missing/x.json", "diamond3", "upper-bound", "--c-sum0", "1"],
+    ["--out", "{dir}", "diamond3", "upper-bound", "--c-sum0", "1"],
+])
+def test_file_errors_print_one_schema_line(argv, tmp_path, capsys):
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+    argv = [a.format(dir=tmp_path, binary=tmp_path / "binary") for a in argv]
+    assert_one_schema_error(main(argv), capsys, names=str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary"]
+    assert not list(tmp_path.parent.rglob(".cfd-*"))  # no temporary left
+
+
+@pytest.mark.parametrize("flag", ["--tol-norm", "--tol-supp", "--tol-dev"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_tolerance_override_is_a_schema_error(flag, value, tmp_path, capsys):
+    from cfdiamond import config
+    before = config.CONFIG
+    out = tmp_path / "report.json"
+    code = main(["--out", str(out), flag, value,
+                 "example", "bec", "check-slope", "--p", "0.5", "--q", "0.5", "--c0", "0.25"])
+    assert_one_schema_error(code, capsys, names=flag[2:].replace("-", "_"))
+    assert config.CONFIG is before
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schedule", ["0", "-0.1", "0.01,0", "nan", "inf", "0.01,x", ""])
+def test_bad_alpha_schedule_is_a_schema_error(schedule, capsys):
+    code = main(["--alpha-schedule", schedule,
+                 "example", "bec", "sweep-curve", "--p", "0.5", "--q", "0.5", "--c0", "0.25"])
+    assert_one_schema_error(code, capsys, names="--alpha-schedule")
+
+
+def test_alpha_schedule_is_reported_as_given(tmp_path):
+    code, out = run(tmp_path, "--alpha-schedule", "0.01,0.001",
+                    "example", "bec", "sweep-curve", "--p", "0.5", "--q", "0.5", "--c0", "0.25")
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["config"]["alpha_schedule"] == [0.01, 0.001]
+    assert [p["alpha"] for p in payload["result"]["curve"]["points"]] == [0.01, 0.001]
+
+
+# ---------------------------------------------------------------------------
+# The whole grammar, drawn from the parser itself
+# ---------------------------------------------------------------------------
+
+
+def parser_leaves(parser, path=()):
+    """(subcommand path, option actions) of every leaf subparser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, [a for a in parser._actions if a.option_strings and a.dest != "help"])]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in parser_leaves(child, (*path, name))]
+
+
+LEAVES = parser_leaves(cli._build_parser())
+#: Per flag: (good values, bad or edge values); a draw mostly takes a good one.
+NUMBERS = (("0.1", "0.25", "0.5"), ("0", "1", "1e-300", "-0.1", "nan", "inf"))
+GLOBAL_VALUES = {
+    "--tol-norm": (("1e-9", "1e-6"), ("0", "0.5", "-1", "nan", "inf")),
+    "--tol-supp": (("1e-12", "1e-9"), ("0", "0.5", "-1", "nan", "inf")),
+    "--tol-dev": (("1e-7", "1e-5"), ("0", "0.5", "-1", "nan", "inf")),
+    "--alpha-schedule": (("0.01,0.001", "0.1"), ("1e-300", "0", "-0.1", "nan", "x")),
+    "--format": (("json",), ("csv",)),
+}
+INPUT_FILES = {"--spec": "spec.json", "--coding": "coding.json", "--mac": "mac.json",
+               "--curve": "curve.csv"}
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def grammar_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("grammar")
+    spec = make_bec_pair(0.5, c0=0.25)
+    (root / "spec.json").write_text(json.dumps(spec.to_json_dict()))
+    (root / "coding.json").write_text(json.dumps(bec_coding_dist(0.5, 0.5).to_json_dict()))
+    write_adder_mac(root / "mac.json")
+    (root / "curve.csv").write_text("c_cf,c_sum\n0.0,1.5\n0.001,1.6\n0.01,1.65\n")
+    (root / "dir").mkdir()
+    return root
+
+
+@st.composite
+def grammar_argv(draw, root):
+    """An argv of the grammar: a leaf's path (sometimes cut short), and flags
+    that are absent, bare or given a value, most often a good one."""
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 3 else good))
+
+    files = tuple(str(root / n) for n in (*INPUT_FILES.values(), "missing.json", "dir"))
+    argv = ["--grid-resolution", draw(st.sampled_from(("-1", "0", "1", "2", "5", "8")))]
+    for flag, (good, bad) in GLOBAL_VALUES.items():
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, pick(good, bad)]
+    if draw(st.booleans()):
+        argv += ["--out", pick((str(root / "report.out"),),
+                               (str(root / "no" / "x.json"), str(root / "dir")))]
+    path, options = draw(st.sampled_from(LEAVES))
+    if draw(st.integers(0, 9)) == 9:
+        path = path[:-1]  # a command or family without its action
+    argv += path
+    for opt in options:
+        flag = opt.option_strings[0]
+        how = draw(st.sampled_from(("value",) * 8 + ("absent", "bare")))
+        if how == "absent":
+            continue
+        argv.append(flag)
+        if how == "value" and opt.nargs != 0:
+            argv.append(pick(*NUMBERS) if opt.type is float
+                        else pick((str(root / INPUT_FILES[flag]),), files))
+    return argv
+
+
+def check_output(text, fmt):
+    if fmt == "csv":
+        lines = text.splitlines()
+        assert lines[0] == "alpha,ccf,delta_rate,ratio"
+        assert all(len(line.split(",")) == 4 for line in lines[1:])
+        [float(v) for line in lines[1:] for v in line.split(",")]
+    else:
+        json.loads(text, parse_constant=reject_constant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_argv_of_the_grammar_exits_by_contract(grammar_root, data):
+    report = grammar_root / "report.out"
+    argv = data.draw(grammar_argv(grammar_root))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != EXIT_OK:
+        assert_one_error_line(code, err.getvalue())
+        assert out.getvalue() == "" and not report.exists()
+        return
+    assert err.getvalue() == ""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if str(report) in argv:
+        check_output(report.read_text(), fmt)
+        report.unlink()
+    else:
+        check_output(out.getvalue(), fmt)
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+
+def readme_cli_examples():
+    """The ``cfdiamond`` lines of the fenced block after "Examples" in the
+    README's "Command line" section."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("\nExamples", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cfdiamond ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coop_curve.csv").write_text("c_cf,c_sum\n0.0,1.5\n0.001,1.6\n0.01,1.65\n")
+    examples = readme_cli_examples()
+    assert len(examples) >= 5
+    for argv in examples:
+        assert main(argv) == EXIT_OK, (argv, capsys.readouterr().err)

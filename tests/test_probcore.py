@@ -245,6 +245,17 @@ def test_package_config_reads_the_live_tolerances():
         cfdiamond.no_such_name
 
 
+@pytest.mark.parametrize("field", ["tol_norm", "tol_supp", "tol_dev", "tol_lp"])
+@pytest.mark.parametrize("value", [-1e-12, float("nan"), float("inf")])
+def test_tolerances_must_be_finite_and_nonnegative(field, value):
+    before = config.CONFIG
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+        config.set_tolerances(**{field: value})
+    assert config.CONFIG is before
+    with config.temporary_tolerances(**{field: 0.0}):
+        assert getattr(config.CONFIG, field) == 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_chain_rule(seed):

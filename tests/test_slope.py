@@ -140,7 +140,7 @@ def test_perturb_range_error_names_entry():
     spec, cd = bec_instance()
     joint = build_joint(spec, cd)
     pert, _ = find_direction(joint, base=cd)
-    with pytest.raises(AlphaRangeError, match=r"entry \(u,x,y1,yr,v\)"):
+    with pytest.raises(AlphaRangeError, match=r"entry \(u,x,y1,yr,v\)=\((\d+, ){4}\d+\) "):
         perturb(cd, pert, alpha_max(cd, pert) * 1.5)
 
 
