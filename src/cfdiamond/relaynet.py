@@ -54,17 +54,25 @@ from .probcore import (
 U, X, Y1, YR, V = "u", "x", "y1", "yr", "v"
 CANON_ORDER = (U, X, Y1, YR, V)
 
-TERM_NAMES = (
-    "I(U;Yr)",
-    "I(U;Y1)",
-    "I(X;Y1|U)",
-    "I(X;Y1,Yr|U)",
-    "I(X;Y1,V|U)",
-    "I(V;X,Y1|U)",
-    "I(Yr;V|U)",
-    "I(X,Y1;V|U,Yr)",
-    "I(Yr;V|U,X,Y1)",
-)
+#: Each term's (a, b, given) arguments to ``mutual_information``, in the
+#: order ``mi_terms`` computes and reports them.
+_TERM_ARGS = {
+    "I(U;Yr)": (U, YR, None),
+    "I(U;Y1)": (U, Y1, None),
+    "I(X;Y1|U)": (X, Y1, U),
+    "I(X;Y1,Yr|U)": (X, (Y1, YR), U),
+    "I(X;Y1,V|U)": (X, (Y1, V), U),
+    "I(V;X,Y1|U)": (V, (X, Y1), U),
+    "I(Yr;V|U)": (YR, V, U),
+    "I(X,Y1;V|U,Yr)": ((X, Y1), V, (U, YR)),
+    "I(Yr;V|U,X,Y1)": (YR, V, (U, X, Y1)),
+}
+TERM_NAMES = tuple(_TERM_ARGS)
+#: The terms free of V. They depend on the (u, x, y1, yr) marginal alone, so
+#: joints that differ only in the compression channel share them.
+NO_V_TERMS = TERM_NAMES[:4]
+#: The V terms that the cooperative bounds and cf_required read.
+BOUND_V_TERMS = TERM_NAMES[4:8]
 
 
 @dataclass(frozen=True)
@@ -214,31 +222,31 @@ def build_joint(spec: RelayNetSpec, cd: CodingDist) -> FiniteDist:
     return reorder(j, CANON_ORDER)
 
 
+def rate_terms(joint: FiniteDist, names: tuple[str, ...]) -> dict[str, float]:
+    """The named terms of ``TERM_NAMES``, in bits, computed in the order given."""
+    return {name: mutual_information(joint, *_TERM_ARGS[name]) for name in names}
+
+
 def mi_terms(joint: FiniteDist) -> dict[str, float]:
     """Every mutual-information term used by the rate bounds, in bits."""
     if joint.names != CANON_ORDER:
         joint = reorder(joint, CANON_ORDER)
-    mi = mutual_information
-    return {
-        "I(U;Yr)": mi(joint, U, YR),
-        "I(U;Y1)": mi(joint, U, Y1),
-        "I(X;Y1|U)": mi(joint, X, Y1, U),
-        "I(X;Y1,Yr|U)": mi(joint, X, (Y1, YR), U),
-        "I(X;Y1,V|U)": mi(joint, X, (Y1, V), U),
-        "I(V;X,Y1|U)": mi(joint, V, (X, Y1), U),
-        "I(Yr;V|U)": mi(joint, YR, V, U),
-        "I(X,Y1;V|U,Yr)": mi(joint, (X, Y1), V, (U, YR)),
-        "I(Yr;V|U,X,Y1)": mi(joint, YR, V, (U, X, Y1)),
-    }
+    return rate_terms(joint, TERM_NAMES)
+
+
+def bounds_from_terms(t: dict[str, float], c0: float) -> tuple[float, float, float]:
+    """(bound1, bound2, cf_required) from the terms ``NO_V_TERMS`` and
+    ``BOUND_V_TERMS`` and the pipe capacity."""
+    bound1 = t["I(U;Yr)"] + min(t["I(X;Y1,Yr|U)"], t["I(X;Y1,V|U)"])
+    bound2 = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
+              + t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + c0)
+    return bound1, bound2, t["I(X,Y1;V|U,Yr)"]
 
 
 def rate_bounds(joint: FiniteDist, c0: float) -> tuple[float, float, float, dict[str, float]]:
     """(bound1, bound2, cf_required, terms) for a joint and pipe capacity."""
     t = mi_terms(joint)
-    bound1 = t["I(U;Yr)"] + min(t["I(X;Y1,Yr|U)"], t["I(X;Y1,V|U)"])
-    bound2 = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
-              + t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + c0)
-    return bound1, bound2, t["I(X,Y1;V|U,Yr)"], t
+    return (*bounds_from_terms(t, c0), t)
 
 
 def eval_cf_rate(spec: RelayNetSpec, cd: CodingDist) -> RateReport:

@@ -43,8 +43,9 @@ graph per u) and verifies it preserves the rate terms, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +63,9 @@ from .probcore import (
     reorder,
 )
 from .relaynet import (
+    BOUND_V_TERMS,
     CANON_ORDER,
+    NO_V_TERMS,
     CodingDist,
     RelayNetSpec,
     U,
@@ -70,9 +73,11 @@ from .relaynet import (
     X,
     Y1,
     YR,
+    bounds_from_terms,
     build_joint,
     markov_kernel,
     rate_bounds,
+    rate_terms,
 )
 
 #: Default geometric alpha schedule, largest first.
@@ -193,6 +198,28 @@ def alpha_max(base: CodingDist, pert: Perturbation) -> float:
     return min(limits) if limits else float("inf")
 
 
+def _check_alphas(base: CodingDist, pert: Perturbation, alphas: Sequence[float]) -> None:
+    """Every step must be finite, nonnegative and within the validity limit.
+
+    The first step past the limit is reported with the entry it pushes
+    furthest outside [0, 1].
+    """
+    for alpha in alphas:
+        if not (math.isfinite(alpha) and alpha >= 0.0):
+            raise AlphaRangeError(f"alpha must be finite and nonnegative, got {alpha}")
+    if pert.is_zero:
+        return
+    amax = alpha_max(base, pert)
+    for alpha in alphas:
+        if alpha > amax + 1e-15:
+            q = base.v_kernel.tensor + alpha * pert.r
+            flat = int(np.argmax(np.maximum(-q, q - 1.0)))
+            worst = tuple(int(i) for i in np.unravel_index(flat, q.shape))
+            raise AlphaRangeError(
+                f"alpha {alpha} exceeds validity limit {amax}; entry (u,x,y1,yr,v)={worst} "
+                f"reaches {q[worst]}")
+
+
 def perturb(base: CodingDist, pert: Perturbation, alpha: float) -> CodingDist:
     """Perturbed coding distribution q = p + alpha * r.
 
@@ -201,23 +228,29 @@ def perturb(base: CodingDist, pert: Perturbation, alpha: float) -> CodingDist:
     validity limit. The result is a general (non-Markov) coding
     distribution.
     """
-    if alpha < 0.0:
-        raise AlphaRangeError(f"alpha must be nonnegative, got {alpha}")
+    _check_alphas(base, pert, (alpha,))
     if alpha == 0.0 or pert.is_zero:
         return base
-    amax = alpha_max(base, pert)
-    if alpha > amax + 1e-15:
-        q = base.v_kernel.tensor + alpha * pert.r
-        flat = int(np.argmax(np.maximum(-q, q - 1.0)))
-        worst = tuple(int(i) for i in np.unravel_index(flat, q.shape))
-        raise AlphaRangeError(
-            f"alpha {alpha} exceeds validity limit {amax}; entry (u,x,y1,yr,v)={worst} "
-            f"reaches {q[worst]}")
     q = base.v_kernel.tensor + alpha * pert.r
     np.clip(q, 0.0, 1.0, out=q)  # boundary steps may overshoot by rounding
     kernel = CondKernel(base.v_kernel.from_vars, base.v_kernel.to_vars,
                         q.reshape(base.v_kernel.rows.shape))
     return CodingDist(base.ux, kernel, markov_form=False)
+
+
+def _perturbed_joints(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
+                      alphas: Sequence[float]) -> tuple[FiniteDist, Iterator[FiniteDist]]:
+    """The base joint, and the joint of q = p + alpha * r for each alpha.
+
+    The joint of q is p(u,x,y1,yr) q(v|u,x,y1,yr), the base joint plus
+    alpha * D with D = p(u,x,y1,yr) r, so the base joint and D are built
+    once per call. The schedule is checked whole before anything is
+    evaluated; the joints are built as the iterator is consumed.
+    """
+    _check_alphas(base, pert, alphas)
+    joint = build_joint(spec, base)
+    d = joint.pmf.sum(axis=4, keepdims=True) * pert.r
+    return joint, (FiniteDist(joint.variables, joint.pmf + a * d) for a in alphas)
 
 
 def default_schedule(amax: float = float("inf")) -> tuple[float, ...]:
@@ -298,9 +331,8 @@ class CurvatureReport:
                 "loglog_slope": self.loglog_slope}
 
 
-def _ccf_of(spec: RelayNetSpec, cd: CodingDist) -> float:
-    joint = build_joint(spec, cd)
-    return mutual_information(joint, (X, Y1), V, (U, YR))
+#: The cooperation cost ccf(alpha), as a rate term.
+_CF_TERM = "I(X,Y1;V|U,Yr)"
 
 
 def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
@@ -309,17 +341,22 @@ def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
 
     ccf(alpha) vanishes quadratically at alpha = 0, so the ratios
     ccf/alpha decrease toward zero and the fitted log-log slope is close
-    to 2 on full-support instances.
+    to 2 on full-support instances. Every perturbed joint is the base
+    joint plus alpha times one fixed array, and only I(X,Y1;V|U,Yr) is
+    evaluated on it. An alpha that is not finite, is negative or exceeds
+    the validity limit raises ``AlphaRangeError`` before anything is
+    evaluated; alpha = 0 and the zero direction give ccf = 0.
     """
     if alphas is None:
         alphas = default_schedule(alpha_max(base, pert))
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
         raise ValueError("empty alpha schedule")
+    _, joints = _perturbed_joints(spec, base, pert, alphas)
     points = []
-    for a in alphas:
+    for a, joint_q in zip(alphas, joints):
         if a > 0.0 and not pert.is_zero:
-            ccf = _ccf_of(spec, perturb(base, pert, a))
+            ccf = rate_terms(joint_q, (_CF_TERM,))[_CF_TERM]
         else:
             ccf = 0.0
         points.append((a, ccf, ccf / a if a > 0.0 else 0.0))
@@ -613,12 +650,29 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     return SlopeVerdict(VERDICT_ALIGNED, True, t_star, (lam, dev))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SlopeCurve:
-    """Rate gain against cooperation cost along an alpha schedule."""
+    """Rate gain against cooperation cost along an alpha schedule.
 
-    points: tuple[tuple[float, float, float, float], ...]  # (alpha, ccf, delta, ratio)
+    Sweeps keep many curves, so the points are held as one read-only
+    float64 array of rows (alpha, ccf, delta, ratio), under half the size
+    of tuples of Python floats; ``points`` rebuilds the tuples, with the
+    same values, on each access.
+    """
+
+    _table: np.ndarray
     monotone_from_alpha: float | None
+
+    def __init__(self, points: Sequence[tuple[float, float, float, float]],
+                 monotone_from_alpha: float | None) -> None:
+        table = np.array(points, dtype=float).reshape(-1, 4)
+        table.setflags(write=False)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "monotone_from_alpha", monotone_from_alpha)
+
+    @property
+    def points(self) -> tuple[tuple[float, float, float, float], ...]:
+        return tuple(map(tuple, self._table.tolist()))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"points": [{"alpha": a, "ccf": c, "delta_rate": d, "ratio": q}
@@ -642,23 +696,32 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
     cost. Intended for directions certified by ``infinite_slope_verdict``;
     the ratio then grows without bound as alpha shrinks, and the report
     notes the alpha below which it is observed monotone.
+
+    The curve is evaluated from one base joint: every perturbed joint is
+    the base joint plus alpha times one fixed array, and its (u, x, y1, yr)
+    marginal is the base's, so the terms free of V are the base's and only
+    the V terms are evaluated per alpha. This matches rebuilding each
+    perturbed distribution and its joint up to rounding. An alpha that is
+    not finite, is negative or exceeds the validity limit raises
+    ``AlphaRangeError`` before anything is evaluated; alpha = 0 and the
+    zero direction give the point (alpha, 0, 0, 0).
     """
     if alphas is None:
         alphas = default_schedule(alpha_max(cd, pert))
     alphas = tuple(sorted((float(a) for a in alphas), reverse=True))
     if not alphas:
         raise ValueError("empty alpha schedule")
-    joint_p = build_joint(spec, cd)
-    b1, b2, _, _ = rate_bounds(joint_p, spec.c0)
+    joint_p, joints = _perturbed_joints(spec, cd, pert, alphas)
+    b1, b2, _, terms = rate_bounds(joint_p, spec.c0)
     rate_base = min(b1, b2)
+    no_v = {name: terms[name] for name in NO_V_TERMS}
     points = []
-    for a in alphas:
-        if pert.is_zero:
+    for a, joint_q in zip(alphas, joints):
+        if a == 0.0 or pert.is_zero:  # q = p: no cost and no gain
             points.append((a, 0.0, 0.0, 0.0))
             continue
-        cd_q = perturb(cd, pert, a)
-        joint_q = build_joint(spec, cd_q)
-        q1, q2, ccf, _ = rate_bounds(joint_q, spec.c0)
+        q1, q2, ccf = bounds_from_terms({**no_v, **rate_terms(joint_q, BOUND_V_TERMS)},
+                                        spec.c0)
         delta = min(q1, q2) - rate_base
         # 1e-15 is float-noise floor, not a support threshold: genuine ccf
         # values at the smallest default alphas sit near 1e-12.
@@ -670,7 +733,7 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
         if all(ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1)):
             monotone_from = points[k][0]
             break
-    return SlopeCurve(tuple(points), monotone_from)
+    return SlopeCurve(points, monotone_from)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ Two relay channels with known closed-form structure:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any
@@ -191,6 +192,46 @@ def _pair_scores(mix: np.ndarray, c0: float, tables: np.ndarray, idx: np.ndarray
     return np.where(feasible, 1.0 - (hzv - hv), -np.inf)
 
 
+@functools.lru_cache(maxsize=8)
+def _refine_moves(grid_resolution: int, v_size: int, refine_steps: int):
+    """Offsets per move, window sizes and offset tables of
+    ``modadd_capacity``'s refinement.
+
+    They depend only on the arguments, so they are built once per argument
+    triple, with the tables as read-only arrays. Per window: the offsets
+    ``offs`` (|V|, offsets per move), and the table layout of a move.
+    """
+    ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"))
+    unit = unit.reshape(v_size - 1, -1)
+    windows = tuple(1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps))
+    moves = []
+    for window in windows:
+        head = unit * window
+        offs = np.vstack([head, -head.sum(axis=0)])
+        # Letter v of a candidate row is the current letter plus one of the
+        # distinct offsets u of letter v, so letter v of a pair takes one of
+        # u.size ** 2 value pairs. Those of every letter are listed end to
+        # end, as table entries: entry e adds pair_offs[:, e] to letter
+        # owner[e] of both rows, and letter v of the pair of offsets (r0, r1)
+        # is entry place_a[v, r0] + place_b[v, r1].
+        letters = [np.unique(o, return_inverse=True) for o in offs]
+        owner, pair_offs, place_a = [], [], []
+        for v, (u, inv) in enumerate(letters):
+            place_a.append(len(owner) + inv * u.size)
+            owner += [v] * u.size ** 2
+            pair_offs += [(a, b) for a in u.tolist() for b in u.tolist()]
+        owner = np.array(owner)
+        # the rows of current.reshape(2 * |V|, -1) that each entry reads
+        sel = np.stack([2 * owner, 2 * owner + 1])
+        move = (offs, sel, np.array(pair_offs).T, np.stack(place_a),
+                np.stack([inv for _, inv in letters]))
+        for table in move:
+            table.setflags(write=False)
+        moves.append(move)
+    return unit.shape[1], windows, tuple(moves)
+
+
 def modadd_capacity(params: ModAddParams, grid_resolution: int,
                     v_size: int = 3, refine_steps: int = 8) -> CapacitySearchResult:
     """Search max 1 - H(Z|V) over p(v | yr) subject to I(Yr;V) <= c0.
@@ -266,32 +307,7 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     # pair of its grid in row-major order and stops at its first move that
     # does not improve; offsets leaving the simplex score -inf, and the
     # centre offset (the current pair) is always on it.
-    ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"))
-    unit = unit.reshape(v_size - 1, -1)
-    n_offs = unit.shape[1]
-    windows = [1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps)]
-    moves = []
-    for window in windows:
-        head = unit * window
-        offs = np.vstack([head, -head.sum(axis=0)])
-        # Letter v of a candidate row is the current letter plus one of the
-        # distinct offsets u of letter v, so letter v of a pair takes one of
-        # u.size ** 2 value pairs. Those of every letter are listed end to
-        # end, as table entries: entry e adds pair_offs[:, e] to letter
-        # owner[e] of both rows, and letter v of the pair of offsets (r0, r1)
-        # is entry place_a[v, r0] + place_b[v, r1].
-        letters = [np.unique(o, return_inverse=True) for o in offs]
-        owner, pair_offs, place_a = [], [], []
-        for v, (u, inv) in enumerate(letters):
-            place_a.append(len(owner) + inv * u.size)
-            owner += [v] * u.size ** 2
-            pair_offs += [(a, b) for a in u.tolist() for b in u.tolist()]
-        owner = np.array(owner)
-        # the rows of current.reshape(2 * |V|, -1) that each entry reads
-        sel = np.stack([2 * owner, 2 * owner + 1])
-        moves.append((offs, sel, np.array(pair_offs).T, np.stack(place_a),
-                      np.stack([inv for _, inv in letters])))
+    n_offs, windows, moves = _refine_moves(grid_resolution, v_size, refine_steps)
 
     starts = candidates[:n_starts]
     vals = np.array([val for val, _, _ in starts])

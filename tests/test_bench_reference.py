@@ -1,8 +1,9 @@
-"""The benchmark's seed-0 ``capacity`` workload reproduces ``bench/reference.json``.
+"""The benchmark's seed-0 ``capacity`` and ``sweep`` workloads reproduce
+``bench/reference.json``.
 
 A benchmark run at the reference seed fails when an op's value drifts from
 the recorded one by more than ``VALUE_TOL``. Running every distinct op of
-that workload once here, with its own output check, shows such a drift in
+those workloads once here, with its own output check, shows such a drift in
 the test suite, before a benchmark run does.
 """
 
@@ -12,6 +13,8 @@ import importlib.util
 import json
 import pathlib
 import sys
+
+import numpy as np
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -24,23 +27,33 @@ def load_workloads():
     return module
 
 
-def test_capacity_workload_matches_bench_reference():
+def run_against_reference(name: str) -> None:
+    """Run each distinct op of the seed-0 workload once, with its own check,
+    and compare every value that has a recorded reference at ``VALUE_TOL``."""
     workloads = load_workloads()
-    reference = json.loads((BENCH / "reference.json").read_text())["capacity"]
-    wl = workloads.build_capacity(workloads.REFERENCE_SEED)
+    reference = json.loads((BENCH / "reference.json").read_text())[name]
+    wl = workloads.build(name, workloads.REFERENCE_SEED, "")
     values, failures = {}, []
     try:
-        for op in wl.ops():
-            if op.label in values:
-                continue
+        for op in wl.ops():  # ``build`` makes every label distinct
             out = op.run()
             reason = op.check(out)
             value = values[op.label] = op.ref(out)
-            if reason is None and not abs(value - reference[op.label]) <= workloads.VALUE_TOL:
-                reason = f"{value!r} differs from the reference {reference[op.label]!r}"
+            want = reference.get(op.label)
+            if reason is None and want is not None and not np.allclose(
+                    value, want, rtol=0.0, atol=workloads.VALUE_TOL):
+                reason = f"{value!r} differs from the reference {want!r}"
             if reason is not None:
                 failures.append(f"{op.label}: {reason}")
     finally:
         wl.cleanup()
     assert values.keys() == reference.keys()
     assert not failures
+
+
+def test_capacity_workload_matches_bench_reference():
+    run_against_reference("capacity")
+
+
+def test_sweep_workload_matches_bench_reference():
+    run_against_reference("sweep")

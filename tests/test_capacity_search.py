@@ -242,6 +242,17 @@ def test_modadd_capacity_rejects_bad_search_sizes(kwargs, name):
         modadd_capacity(ModAddParams(0.1, 0.1, 0.3), **{"grid_resolution": 7, **kwargs})
 
 
+def test_refinement_tables_are_built_once_and_read_only():
+    params = ModAddParams(0.1, 0.1, 0.3)
+    first = modadd_capacity(params, 7, refine_steps=3)
+    tables = zoo._refine_moves(7, 3, 3)
+    assert zoo._refine_moves(7, 3, 3) is tables
+    assert not any(t.flags.writeable for move in tables[2] for t in move)
+    again = modadd_capacity(params, 7, refine_steps=3)
+    assert (again.value, again.kernel.tobytes(), again.trace) == \
+        (first.value, first.kernel.tobytes(), first.trace)
+
+
 def test_pair_scores_reject_off_simplex_pairs_even_when_best():
     # Pair 0 is on the simplex. Pair 1 is a clipped refinement candidate:
     # its offsets took a letter of each row below 0, so both rows sum to

@@ -10,6 +10,7 @@ from cfdiamond.probcore import (
     compose,
     mutual_information,
 )
+from cfdiamond import slope as slope_module
 from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint, mi_terms
 from cfdiamond.slope import (
     AlphaRangeError,
@@ -250,6 +251,51 @@ def test_ccf_zero_at_alpha_zero_and_zero_direction():
     rep0 = ccf_curvature(spec, cd, zero, alphas=(1e-1, 1e-2, 1e-3))
     assert all(c == 0.0 for _, c, _ in rep0.points)
     assert rep0.loglog_slope is None
+
+
+#: Schedules with an entry that is negative, NaN or infinite.
+BAD_SCHEDULES = [(-1e-3, 1e-3), (float("nan"), 1e-3), (1e-3, float("inf"))]
+
+
+def _no_joint(*args, **kwargs):
+    raise AssertionError("a joint was built before the schedule was checked")
+
+
+@pytest.mark.parametrize("curve", [slope_curve, ccf_curvature])
+@pytest.mark.parametrize("alphas", BAD_SCHEDULES)
+def test_curves_reject_bad_alphas_before_evaluating(monkeypatch, curve, alphas):
+    spec, cd = bec_instance()
+    pert, _ = find_direction(build_joint(spec, cd), base=cd)
+    zero = Perturbation(np.zeros(cd.v_kernel.tensor.shape), cd)
+    monkeypatch.setattr(slope_module, "build_joint", _no_joint)
+    for direction in (pert, zero):
+        with pytest.raises(AlphaRangeError, match="finite and nonnegative"):
+            curve(spec, cd, direction, alphas)
+
+
+@pytest.mark.parametrize("curve", [slope_curve, ccf_curvature])
+def test_curves_reject_alpha_beyond_limit_before_evaluating(monkeypatch, curve):
+    spec, cd = bec_instance()
+    pert, _ = find_direction(build_joint(spec, cd), base=cd)
+    monkeypatch.setattr(slope_module, "build_joint", _no_joint)
+    with pytest.raises(AlphaRangeError, match=r"entry \(u,x,y1,yr,v\)=\((\d+, ){4}\d+\) "):
+        curve(spec, cd, pert, (1e-3, alpha_max(cd, pert) * 2))
+
+
+@pytest.mark.parametrize("alpha", [-1e-3, float("nan"), float("inf")])
+def test_perturb_rejects_bad_alpha(alpha):
+    spec, cd = bec_instance()
+    pert, _ = find_direction(build_joint(spec, cd), base=cd)
+    with pytest.raises(AlphaRangeError, match="finite and nonnegative"):
+        perturb(cd, pert, alpha)
+
+
+def test_slope_curve_alpha_zero_is_the_base_point():
+    spec, cd = bec_instance(0.8, 0.2, 0.25)
+    pert, _ = find_direction(build_joint(spec, cd), base=cd)
+    curve = slope_curve(spec, cd, pert, (1e-2, 0.0))
+    assert curve.points[-1] == (0.0, 0.0, 0.0, 0.0)
+    assert curve.points[0][1] > 0.0
 
 
 def test_ccf_curvature_quadratic_on_bec():
