@@ -38,6 +38,7 @@ from .relaynet import (
 from .slope import (
     AlphaRangeError,
     CurvatureReport,
+    JointView,
     Perturbation,
     ReductionResult,
     ReductionVerdict,

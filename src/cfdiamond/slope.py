@@ -33,7 +33,8 @@ function of lambda on [0, 1], which is done exactly: ``find_direction``
 minimises the LP's dual over lambda and assembles an optimal direction
 from the maximisers at the minimiser; ``check_lambda`` minimises the
 largest alignment deviation for the dual witness; ``infinite_slope_verdict``
-combines both with the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U).
+combines both with the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U),
+building the conditional and log tables they read once, as a ``JointView``.
 
 For channels with full support, ``deterministic_reduction`` builds the
 deterministic replacement W of V (connected components of the co-support
@@ -100,7 +101,7 @@ class AlphaRangeError(InfeasibleError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Perturbation:
     """A direction r(v | u, x, y1, yr) for the perturbed channel family.
 
@@ -112,10 +113,11 @@ class Perturbation:
     hand, and all constructors in this module guarantee it.
 
     Every verdict that certifies keeps its direction, and a direction from
-    ``find_direction`` takes at most nine distinct values. So r is held as
-    one-byte codes into its sorted distinct values whenever it has at most
-    256 of them, an eighth of the float64 size, and ``r`` rebuilds the
-    read-only array on each access.
+    ``find_direction`` takes at most nine distinct values. So when r has at
+    most 16 distinct values it is held as 4-bit codes into its sorted
+    distinct values, two codes per byte (the entry of even flat index in
+    the low half), a sixteenth of the float64 size; any other r is held as
+    float64. ``r`` rebuilds the read-only array on each access.
     """
 
     base: CodingDist
@@ -139,8 +141,10 @@ class Perturbation:
         if off.size and off.max() > 0.0:
             raise ValueError("direction is nonzero outside the base channel support")
         values, codes = np.unique(r, return_inverse=True)
-        if values.size <= 256:
-            codes = codes.astype(np.uint8).reshape(shape)
+        if values.size <= 16:
+            # One zero code is appended; at an even entry count it is left out.
+            codes = np.append(codes.ravel().astype(np.uint8), np.uint8(0))
+            codes = codes[0:-1:2] | (codes[1::2] << 4)
         else:
             values, codes = r.copy(), None
         values.setflags(write=False)
@@ -152,7 +156,11 @@ class Perturbation:
     def r(self) -> np.ndarray:
         if self._codes is None:
             return self._values
-        r = self._values.take(self._codes)
+        shape = self.base.v_kernel.tensor.shape
+        codes = np.empty(2 * self._codes.size, dtype=np.uint8)
+        np.bitwise_and(self._codes, 0x0F, out=codes[0::2])
+        np.right_shift(self._codes, 4, out=codes[1::2])
+        r = self._values.take(codes[:math.prod(shape)]).reshape(shape)
         r.setflags(write=False)
         return r
 
@@ -273,35 +281,62 @@ def _canon(joint: FiniteDist) -> FiniteDist:
     return joint
 
 
-def _support_tables(joint: FiniteDist):
-    """Shared masks and log tables over the canonical joint."""
-    tol = config.CONFIG.tol_supp
-    p5 = joint.pmf
-    tuple_p = p5.sum(axis=4)
-    pv_uxy1 = conditional_table(joint, V, (U, X, Y1))
-    pv_uy1 = conditional_table(joint, V, (U, Y1))
-    pv_uyr = conditional_table(joint, V, (U, YR))
-    supp5 = p5 > tol
-    with np.errstate(divide="ignore"):
-        l_uxy1 = np.where(pv_uxy1 > tol, np.log2(np.maximum(pv_uxy1, tol)), 0.0)
-        l_uy1 = np.where(pv_uy1 > tol, np.log2(np.maximum(pv_uy1, tol)), 0.0)
-        l_uyr = np.where(pv_uyr > tol, np.log2(np.maximum(pv_uyr, tol)), 0.0)
-    return tuple_p, supp5, l_uxy1, l_uy1, l_uyr
+@dataclass(frozen=True, eq=False)
+class JointView:
+    """A canonical-order joint with the tables the verdict steps read.
+
+    ``tuple_p`` is p(u, x, y1, yr), ``supp5`` the support of the joint,
+    ``pv_uyr`` the table p(v | u, yr), and ``l_uxy1``, ``l_uy1``,
+    ``l_uyr`` the log2 tables of p(v | u, x, y1), p(v | u, y1) and
+    p(v | u, yr), zero off their support. ``check_lambda``,
+    ``find_direction`` and ``f_primes`` accept a view in place of a joint,
+    so a caller that runs several of them on one joint builds the tables
+    once.
+    """
+
+    joint: FiniteDist
+    tuple_p: np.ndarray
+    supp5: np.ndarray
+    pv_uyr: np.ndarray
+    l_uxy1: np.ndarray
+    l_uy1: np.ndarray
+    l_uyr: np.ndarray
+
+    @staticmethod
+    def of(joint: FiniteDist | JointView) -> JointView:
+        """The view of a joint in any variable order; a view is returned as is."""
+        if isinstance(joint, JointView):
+            return joint
+        joint = _canon(joint)
+        tol = config.CONFIG.tol_supp
+        p5 = joint.pmf
+        pv_uxy1 = conditional_table(joint, V, (U, X, Y1))
+        pv_uy1 = conditional_table(joint, V, (U, Y1))
+        pv_uyr = conditional_table(joint, V, (U, YR))
+        with np.errstate(divide="ignore"):
+            l_uxy1, l_uy1, l_uyr = (np.where(t > tol, np.log2(np.maximum(t, tol)), 0.0)
+                                    for t in (pv_uxy1, pv_uy1, pv_uyr))
+        return JointView(joint, p5.sum(axis=4), p5 > tol, pv_uyr, l_uxy1, l_uy1, l_uyr)
 
 
-def _require_markov_joint(joint: FiniteDist) -> None:
-    """The joint must factor as p(u,x,y1,yr) p(v|u,yr) on its support."""
+def _require_markov_joint(view: JointView) -> None:
+    """The joint must factor as p(u,x,y1,yr) p(v|u,yr) on its support.
+
+    p(v | u, x, y1, yr) is p5 / p(u, x, y1, yr) on the supported tuples,
+    the same sum and division as ``conditional_table``.
+    """
     tol = config.CONFIG.tol_supp
-    pv_all = conditional_table(joint, V, (U, X, Y1, YR))
-    pv_uyr = conditional_table(joint, V, (U, YR))
-    tuple_p = joint.pmf.sum(axis=4)
-    dev = np.abs(pv_all - pv_uyr[:, None, None, :, :]) * (tuple_p > tol)[..., None]
+    tuple_p = view.tuple_p[..., None]
+    supported = tuple_p > tol
+    pv_all = np.zeros_like(view.joint.pmf)
+    np.divide(view.joint.pmf, tuple_p, out=pv_all, where=supported)
+    dev = np.abs(pv_all - view.pv_uyr[:, None, None, :, :]) * supported
     if dev.size and dev.max() > 1e-9:
         raise PreconditionError(
             f"joint is not Markov (v depends on (x, y1) by {dev.max():.3g})")
 
 
-def f_primes(joint_base: FiniteDist, pert: Perturbation) -> tuple[float, float]:
+def f_primes(joint_base: FiniteDist | JointView, pert: Perturbation) -> tuple[float, float]:
     """Closed-form derivatives (f1'(0), f2'(0)) in bits per unit alpha.
 
     f1'(0) = sum p(u,x,y1,yr) r(v|u,x,y1,yr) log2[ p(v|u,x,y1) / p(v|u,y1) ]
@@ -309,13 +344,12 @@ def f_primes(joint_base: FiniteDist, pert: Perturbation) -> tuple[float, float]:
 
     with both sums restricted to the support of the base joint.
     """
-    joint = _canon(joint_base)
-    tuple_p, supp5, l_uxy1, l_uy1, l_uyr = _support_tables(joint)
-    iu, ix, iy1, iyr, iv = np.nonzero(supp5)
-    w = tuple_p[iu, ix, iy1, iyr] * pert.r[iu, ix, iy1, iyr, iv]
-    l1 = l_uxy1[iu, ix, iy1, iv]
-    f1 = float(np.dot(w, l1 - l_uy1[iu, iy1, iv]))
-    f2 = float(np.dot(w, l1 - l_uyr[iu, iyr, iv]))
+    view = JointView.of(joint_base)
+    iu, ix, iy1, iyr, iv = np.nonzero(view.supp5)
+    w = view.tuple_p[iu, ix, iy1, iyr] * pert.r[iu, ix, iy1, iyr, iv]
+    l1 = view.l_uxy1[iu, ix, iy1, iv]
+    f1 = float(np.dot(w, l1 - view.l_uy1[iu, iy1, iv]))
+    f2 = float(np.dot(w, l1 - view.l_uyr[iu, iyr, iv]))
     return f1, f2
 
 
@@ -425,13 +459,12 @@ def _pwl_argmin(evaluate: Callable[[float], tuple[float, float, Any]],
 # ---------------------------------------------------------------------------
 
 
-def _reconstruct_base(joint: FiniteDist) -> CodingDist:
+def _reconstruct_base(view: JointView) -> CodingDist:
     """Markov-form coding distribution matching a Markov joint on support."""
-    joint = _canon(joint)
+    joint = view.joint
     ux = marginalize(joint, (U, X))
-    pv_uyr = conditional_table(joint, V, (U, YR))  # zero rows where p(u,yr)=0
-    nu, nyr, nv = pv_uyr.shape
-    rows = pv_uyr.reshape(nu * nyr, nv).copy()
+    nu, nyr, nv = view.pv_uyr.shape  # zero rows where p(u,yr)=0
+    rows = view.pv_uyr.reshape(nu * nyr, nv).copy()
     empty = rows.sum(axis=1) <= config.CONFIG.tol_supp
     rows[empty, 0] = 1.0  # placeholder pmf on never-occurring (u, yr) pairs
     tensor = rows.reshape(nu, 1, 1, nyr, nv)
@@ -445,7 +478,7 @@ def _reconstruct_base(joint: FiniteDist) -> CodingDist:
     return CodingDist(ux, kernel, markov_form=True)
 
 
-def find_direction(joint_base: FiniteDist, base: CodingDist | None = None
+def find_direction(joint_base: FiniteDist | JointView, base: CodingDist | None = None
                    ) -> tuple[Perturbation, float]:
     """Best direction for max min(f1'(0), f2'(0)) over the unit box.
 
@@ -465,12 +498,12 @@ def find_direction(joint_base: FiniteDist, base: CodingDist | None = None
     Returns the direction and t*. Degenerate supports (no free
     coordinates) return the zero direction and t* = 0.
     """
-    joint = _canon(joint_base)
-    _require_markov_joint(joint)
+    view = JointView.of(joint_base)
+    _require_markov_joint(view)
     if base is None:
-        base = _reconstruct_base(joint)
+        base = _reconstruct_base(view)
     tol = config.CONFIG.tol_supp
-    tuple_p, supp5, l_uxy1, l_uy1, l_uyr = _support_tables(joint)
+    tuple_p, l_uxy1, l_uy1, l_uyr = view.tuple_p, view.l_uxy1, view.l_uy1, view.l_uyr
     mk = markov_kernel(base)
     free5 = (tuple_p > tol)[..., None] & (mk[:, None, None, :, :] > tol)
     shape5 = free5.shape
@@ -521,7 +554,7 @@ def find_direction(joint_base: FiniteDist, base: CodingDist | None = None
 # ---------------------------------------------------------------------------
 
 
-def _alignment_rows(joint: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _alignment_rows(joint: FiniteDist | JointView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deviation profile d(v) = base + lambda*drift per supported tuple.
 
     d(v) = log2 p(v|u,x,y1) - lambda*log2 p(v|u,y1) - (1-lambda)*log2 p(v|u,yr),
@@ -530,7 +563,8 @@ def _alignment_rows(joint: FiniteDist) -> tuple[np.ndarray, np.ndarray, np.ndarr
     (u, x, y1, yr) with at least two supported letters v; the other tuples
     have no spread.
     """
-    _, supp5, l_uxy1, l_uy1, l_uyr = _support_tables(joint)
+    view = JointView.of(joint)
+    supp5, l_uxy1, l_uy1, l_uyr = view.supp5, view.l_uxy1, view.l_uy1, view.l_uyr
     nv = supp5.shape[-1]
     free = supp5.reshape(-1, nv)
     rows = np.flatnonzero(free.sum(axis=1) >= 2)
@@ -576,7 +610,8 @@ def _min_deviation(base: np.ndarray, drift: np.ndarray, free: np.ndarray,
     return lam, at[0]
 
 
-def check_lambda(joint_base: FiniteDist, best: bool = False) -> tuple[float, float] | None:
+def check_lambda(joint_base: FiniteDist | JointView,
+                 best: bool = False) -> tuple[float, float] | None:
     """Dual witness: a lambda certifying that no improving direction exists.
 
     Tries lambda = 0, then lambda = 1, then the minimiser of the maximum
@@ -586,7 +621,7 @@ def check_lambda(joint_base: FiniteDist, best: bool = False) -> tuple[float, flo
     pair is returned even when it fails ``tol_dev``.
     """
     tol_dev = config.CONFIG.tol_dev
-    lam, dev = _min_deviation(*_alignment_rows(_canon(joint_base)), stop=tol_dev)
+    lam, dev = _min_deviation(*_alignment_rows(joint_base), stop=tol_dev)
     return (lam, dev) if best or dev <= tol_dev else None
 
 
@@ -595,7 +630,7 @@ def check_lambda(joint_base: FiniteDist, best: bool = False) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SlopeVerdict:
     """Outcome of the infinite-slope certification at one coding distribution."""
 
@@ -619,6 +654,10 @@ class SlopeVerdict:
                 "direction": None if self.direction is None else self.direction.to_json_dict()}
 
 
+#: The rate terms of the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U).
+_PRECONDITION_TERMS = ("I(X;Y1,Yr|U)", "I(X;Y1,V|U)")
+
+
 def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     """Certify whether small cooperation buys rate at unbounded slope here.
 
@@ -628,20 +667,24 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     improving direction is available from this distribution.
     INFINITE_SLOPE_CERTIFIED: the LP produced a direction whose re-verified
     derivatives are both positive.
+
+    The precondition evaluates only its two rate terms, and the steps after
+    it share one ``JointView`` of the joint.
     """
     if not cd.markov_form:
         raise PreconditionError("verdict requires a Markov-form coding distribution")
     joint = build_joint(spec, cd)
-    _, _, _, terms = rate_bounds(joint, spec.c0)
+    terms = rate_terms(joint, _PRECONDITION_TERMS)
     gap = terms["I(X;Y1,Yr|U)"] - terms["I(X;Y1,V|U)"]
     strict = gap > config.CONFIG.tol_norm
     if not strict:
         return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
-    lam, dev = check_lambda(joint, best=True)
+    view = JointView.of(joint)
+    lam, dev = check_lambda(view, best=True)
     if dev <= config.CONFIG.tol_dev:
         return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
-    pert, t_star = find_direction(joint, base=cd)
-    f1p, f2p = f_primes(joint, pert)
+    pert, t_star = find_direction(view, base=cd)
+    f1p, f2p = f_primes(view, pert)
     tol_lp = config.CONFIG.tol_lp
     if t_star > tol_lp and min(f1p, f2p) > tol_lp / 2.0:
         return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
@@ -705,6 +748,13 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
     not finite, is negative or exceeds the validity limit raises
     ``AlphaRangeError`` before anything is evaluated; alpha = 0 and the
     zero direction give the point (alpha, 0, 0, 0).
+
+    The smallest steps rest on rounding. ccf(alpha) is near 1e-12 at
+    alpha = 1e-6, and it is a difference of entropies of order 1, so it
+    carries an absolute error near 1e-15 and its ratio about 1e-3 relative
+    rounding (two summation orders of one joint gave ratios 2.1e-4 apart).
+    So when two ratios of the tail are that close, rounding can decide
+    ``monotone_from_alpha``.
     """
     if alphas is None:
         alphas = default_schedule(alpha_max(cd, pert))

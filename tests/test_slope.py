@@ -1,7 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfdiamond import probcore, relaynet
 from cfdiamond.probcore import (
     Alphabet,
     CondKernel,
@@ -11,10 +15,12 @@ from cfdiamond.probcore import (
     mutual_information,
 )
 from cfdiamond import slope as slope_module
-from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint, mi_terms
+from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint, mi_terms, rate_bounds
 from cfdiamond.slope import (
     AlphaRangeError,
+    JointView,
     Perturbation,
+    SlopeVerdict,
     VERDICT_ALIGNED,
     VERDICT_CERTIFIED,
     VERDICT_PRECONDITION,
@@ -94,8 +100,9 @@ def test_perturbation_invariants_enforced():
 
 @pytest.mark.parametrize("levels", [None, 3])
 def test_perturbation_returns_r_exactly(levels):
-    # Few distinct values (levels=3) and many (None) are stored differently;
-    # both must give back the same read-only array.
+    # Rows that are rounded to thirds and then made to sum to zero (31
+    # distinct values) or left unrounded are stored as float64; both must
+    # give back the same read-only array. The 4-bit codes are tested below.
     rng = np.random.default_rng(22)
     spec = full_support_spec(rng, sy1=4, syr=4)
     cd = markov_cd_from_rows(spec, [[rand_pmf(rng, 12, 0.2) for _ in range(4)]])
@@ -109,6 +116,61 @@ def test_perturbation_returns_r_exactly(levels):
     assert not pert.r.flags.writeable
     assert not pert.is_zero
     assert np.array_equal(pert.scaled(-2.0).r, -2.0 * r)
+
+
+def _exact_direction(rng, cd, distinct):
+    """A direction with exactly ``distinct`` values (16 or 17), exact zero
+    row sums, and both nibbles of the 4-bit codes in use.
+
+    Rows (a, -a, 0) give 0 and +-a; one row (2b, -b, -b) with -b already
+    present adds 2b. The kernel needs |V| = 3 and full support.
+    """
+    shape = cd.v_kernel.tensor.shape
+    n_rows = math.prod(shape[:-1])
+    levels = rng.uniform(0.01, 0.3, size=(distinct - 1) // 2)
+    rows = [(a, -a, 0.0) for a in levels]
+    if distinct % 2 == 0:
+        rows.append((2.0 * levels[0], -levels[0], -levels[0]))
+    rows += [rows[k % len(rows)] for k in range(n_rows - len(rows))]
+    r = np.array([rng.permutation(row) for row in rows])[rng.permutation(n_rows)]
+    r = r.reshape(shape)
+    assert np.unique(r).size == distinct and not np.any(r.sum(axis=-1))
+    return r
+
+
+@pytest.mark.parametrize("distinct", [16, 17])
+@pytest.mark.parametrize("sizes", [(1, 3, 3, 3, 3), (1, 3, 3, 1, 3)])  # 81 and 27 entries
+def test_perturbation_round_trips_bit_for_bit(distinct, sizes):
+    rng = np.random.default_rng(23)
+    _, cd = sized_instance(rng, sizes)
+    r = _exact_direction(rng, cd, distinct)
+    assert r.size % 2 == 1
+    pert = Perturbation(r, cd)
+    assert pert.r.tobytes() == r.tobytes()
+    if distinct == 16:
+        assert pert._codes.dtype == np.uint8 and pert._codes.nbytes == (r.size + 1) // 2
+    else:
+        assert pert._codes is None
+
+
+def test_perturbation_packs_find_direction_directions():
+    rng = np.random.default_rng(24)
+    for sizes in ((2, 4, 4, 4, 4), (1, 3, 3, 3, 3), (2, 5, 3, 3, 3)):
+        spec, cd = sized_instance(rng, sizes)
+        pert, _ = find_direction(build_joint(spec, cd), base=cd)
+        r = pert.r
+        assert np.unique(r).size <= 9
+        assert pert._codes.nbytes == math.ceil(r.size / 2)
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[(0,) * r.ndim] = 1.0
+        # What reads r sees the stored values exactly.
+        assert pert.to_json_dict() == {"shape": list(r.shape), "r": r.ravel().tolist()}
+        assert pert.scaled(-0.5).r.tobytes() == (-0.5 * r).tobytes()
+        p = cd.v_kernel.tensor
+        pos, neg = r > 1e-15, r < -1e-15
+        assert alpha_max(cd, pert) == min(((1.0 - p[pos]) / r[pos]).min(),
+                                          (p[neg] / -r[neg]).min())
 
 
 def test_perturb_alpha_zero_returns_base():
@@ -544,6 +606,169 @@ def test_verdict_modadd_optimal_certified():
     cd = modadd_coding_dist(search.kernel)
     v = infinite_slope_verdict(spec, cd)
     assert v.verdict == VERDICT_CERTIFIED
+
+
+# ---------------------------------------------------------------------------
+# one view per verdict
+# ---------------------------------------------------------------------------
+
+
+def sized_instance(rng, sizes, aligned=False, floor=0.1):
+    """A Markov instance of sizes (|U|, |X|, |Y1|, |Yr|, |V|). Aligned: yr is
+    a function of (x, y1), so lambda = 0 is an alignment witness."""
+    su, sx, sy1, syr, sv = sizes
+    u_a, x_a, y1_a, yr_a, v_a = (Alphabet(n, k) for n, k in zip(("u", "x", "y1", "yr", "v"),
+                                                                 sizes))
+    if aligned:
+        f = rng.integers(0, syr, size=(sx, sy1))
+        rows = np.zeros((sx, syr * sy1))
+        for x in range(sx):
+            rows[x, f[x] * sy1 + np.arange(sy1)] = rand_pmf(rng, sy1, floor)
+    else:
+        rows = np.vstack([rand_pmf(rng, syr * sy1, floor) for _ in range(sx)])
+    ux = FiniteDist((u_a, x_a), rand_pmf(rng, su * sx, floor))
+    mk = np.array([[rand_pmf(rng, sv, floor) for _ in range(syr)] for _ in range(su)])
+    tensor = np.broadcast_to(mk[:, None, None], (su, sx, sy1, syr, sv))
+    cd = CodingDist(ux, CondKernel((u_a, x_a, y1_a, yr_a), (v_a,), tensor.reshape(-1, sv)),
+                    markov_form=True)
+    spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), rows),
+                        c0=float(rng.uniform(0.1, 1.0)))
+    return spec, cd
+
+
+def sparse_pmf(rng, n):
+    """A pmf with about 40% exact zeros and at least one positive entry."""
+    x = rng.random(n) * (rng.random(n) > 0.4)
+    if not x.any():
+        x[rng.integers(n)] = 1.0
+    return x / x.sum()
+
+
+def reference_verdict(spec, cd):
+    """The verdict as every step once computed it: all nine rate terms for
+    the precondition, and each step building its own tables from the joint."""
+    joint = build_joint(spec, cd)
+    _, _, _, terms = rate_bounds(joint, spec.c0)
+    if not terms["I(X;Y1,Yr|U)"] - terms["I(X;Y1,V|U)"] > slope_module.config.CONFIG.tol_norm:
+        return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
+    lam, dev = check_lambda(joint, best=True)
+    if dev <= slope_module.config.CONFIG.tol_dev:
+        return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
+    pert, t_star = find_direction(joint, base=cd)
+    f1p, f2p = f_primes(joint, pert)
+    tol_lp = slope_module.config.CONFIG.tol_lp
+    if t_star > tol_lp and min(f1p, f2p) > tol_lp / 2.0:
+        return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
+    return SlopeVerdict(VERDICT_ALIGNED, True, t_star, (lam, dev))
+
+
+def outcome(fn, *args):
+    """The verdict's JSON text, or the error it raised."""
+    try:
+        return json.dumps(fn(*args).to_json_dict())
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+LADDER_SIZES = ((2, 4, 4, 4, 4), (2, 6, 6, 6, 6), (3, 6, 6, 6, 6), (3, 8, 8, 8, 8))
+
+
+@pytest.mark.parametrize("sizes", LADDER_SIZES)
+def test_verdict_is_bit_identical_to_reference(sizes):
+    rng = np.random.default_rng([41, *sizes])
+    kinds = set()
+    for k in range(4):
+        spec, cd = sized_instance(rng, sizes, aligned=k % 2 == 1)
+        got = infinite_slope_verdict(spec, cd)
+        assert json.dumps(got.to_json_dict()) == json.dumps(
+            reference_verdict(spec, cd).to_json_dict())
+        kinds.add(got.verdict)
+    assert kinds == {VERDICT_CERTIFIED, VERDICT_ALIGNED}
+
+
+def test_verdict_precondition_fails_like_reference():
+    x_a, y1_a, yr_a = Alphabet("x", 2), Alphabet("y1", 2), Alphabet("yr", 2)
+    rows = np.array([[0.7, 0.0, 0.0, 0.3], [0.2, 0.0, 0.0, 0.8]])  # yr = y1
+    spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), rows), c0=0.4)
+    cd = markov_cd_from_rows(spec, [np.eye(2)])  # v = yr = y1
+    got = infinite_slope_verdict(spec, cd)
+    assert got.verdict == VERDICT_PRECONDITION
+    assert json.dumps(got.to_json_dict()) == json.dumps(
+        reference_verdict(spec, cd).to_json_dict())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verdict_matches_reference_with_zeros(seed):
+    # Zeros in the broadcast channel and in the compression kernel.
+    rng = np.random.default_rng(seed)
+    su, sx, sy1, syr, sv = (int(k) for k in rng.integers([1, 2, 2, 2, 2], [3, 4, 4, 4, 4],
+                                                         endpoint=True))
+    u_a, x_a = Alphabet("u", su), Alphabet("x", sx)
+    y1_a, yr_a, v_a = Alphabet("y1", sy1), Alphabet("yr", syr), Alphabet("v", sv)
+    rows = np.vstack([sparse_pmf(rng, syr * sy1) for _ in range(sx)])
+    mk = np.array([[sparse_pmf(rng, sv) for _ in range(syr)] for _ in range(su)])
+    tensor = np.broadcast_to(mk[:, None, None], (su, sx, sy1, syr, sv))
+    cd = CodingDist(FiniteDist((u_a, x_a), rand_pmf(rng, su * sx, 0.05)),
+                    CondKernel((u_a, x_a, y1_a, yr_a), (v_a,), tensor.reshape(-1, sv)),
+                    markov_form=True)
+    spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), rows),
+                        c0=float(rng.uniform(0.0, 1.0)))
+    assert outcome(infinite_slope_verdict, spec, cd) == outcome(reference_verdict, spec, cd)
+
+
+def count_calls(monkeypatch, functions):
+    """Count the calls to each of ``functions`` ({module: names}) through
+    every cfdiamond module that binds it."""
+    counts = {}
+    for module, names in functions.items():
+        for name in names:
+            orig = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod in (probcore, relaynet, slope_module):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind, expect", [
+    ("dense", {"mutual_information": 2, "entropy": 8, "conditional_table": 3,
+               "check_lambda": 1, "find_direction": 1, "f_primes": 1}),
+    ("aligned", {"mutual_information": 2, "entropy": 8, "conditional_table": 3,
+                 "check_lambda": 1, "find_direction": 0, "f_primes": 0}),
+])
+def test_verdict_work_is_pinned(monkeypatch, kind, expect):
+    spec, cd = sized_instance(np.random.default_rng(43), (2, 4, 4, 4, 4),
+                              aligned=kind == "aligned")
+    counts = count_calls(monkeypatch, {
+        probcore: ("mutual_information", "entropy", "conditional_table"),
+        slope_module: ("check_lambda", "find_direction", "f_primes")})
+    verdict = infinite_slope_verdict(spec, cd)
+    assert verdict.verdict == (VERDICT_CERTIFIED if kind == "dense" else VERDICT_ALIGNED)
+    assert counts == expect
+
+
+def test_steps_agree_on_joint_and_view():
+    rng = np.random.default_rng(44)
+    for aligned in (False, True):
+        spec, cd = sized_instance(rng, (2, 4, 3, 4, 3), aligned=aligned)
+        joint = build_joint(spec, cd)
+        shuffled = probcore.reorder(joint, ("v", "yr", "u", "y1", "x"))
+        view = JointView.of(shuffled)
+        assert JointView.of(view) is view
+        assert check_lambda(joint, best=True) == check_lambda(view, best=True)
+        assert check_lambda(joint) == check_lambda(view)
+        for base in (cd, None):
+            pert_j, t_j = find_direction(joint, base=base)
+            pert_v, t_v = find_direction(view, base=base)
+            assert t_j == t_v
+            assert pert_j.r.tobytes() == pert_v.r.tobytes()
+            assert f_primes(joint, pert_j) == f_primes(view, pert_j)
 
 
 # ---------------------------------------------------------------------------
