@@ -85,8 +85,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str) -> Any:
-    # set_tolerances and temporary_tolerances replace config.CONFIG, so a
-    # copy bound here at import would go stale; resolve it on each access.
+    # set_tolerances and temporary_tolerances change the config in effect,
+    # so a copy bound here at import would go stale; resolve it on each access.
     if name == "CONFIG":
-        return config.CONFIG
+        return config.current()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

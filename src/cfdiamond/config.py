@@ -1,14 +1,24 @@
 """Numerical tolerances shared across the package.
 
 All comparisons against "zero probability", "normalized", "constant", and
-"LP feasible" go through one global config so that command-line overrides
-apply uniformly and reports can embed the values actually used.
+"LP feasible" read one config through ``current()``, so that command-line
+overrides apply uniformly and reports can embed the values actually used.
+
+``set_tolerances`` replaces the process-wide config. ``temporary_tolerances``
+overrides it inside a ``with`` block for the current context only (the
+thread, or the asyncio task), through a ``contextvars.ContextVar``, so
+threads that each hold their own block do not see each other's values.
+``CONFIG`` reads the live config, as ``current()`` does; assigning it
+replaces the process-wide config.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import sys
+import types
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -42,26 +52,56 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-CONFIG = Tolerances()
+_process_wide = Tolerances()
+_override: contextvars.ContextVar[Tolerances] = contextvars.ContextVar("cfdiamond_tolerances")
 
 
-def set_tolerances(**kwargs: Any) -> None:
-    """Replace fields of the global tolerance config."""
-    global CONFIG
+def current() -> Tolerances:
+    """The tolerances in effect: this context's override, else the process-wide config."""
+    return _override.get(_process_wide)
+
+
+def _updated(base: Tolerances, kwargs: dict[str, Any]) -> Tolerances:
     allowed = set(Tolerances.__dataclass_fields__)
     for key in kwargs:
         if key not in allowed:
             raise ValueError(f"unknown tolerance field: {key!r}")
-    CONFIG = Tolerances(**{**CONFIG.__dict__, **kwargs})
+    return Tolerances(**{**base.__dict__, **kwargs})
+
+
+def set_tolerances(**kwargs: Any) -> None:
+    """Replace fields of the process-wide tolerance config.
+
+    A ``temporary_tolerances`` block that is open in the calling context
+    keeps hiding the new values until it ends.
+    """
+    global _process_wide
+    _process_wide = _updated(_process_wide, kwargs)
 
 
 @contextlib.contextmanager
 def temporary_tolerances(**kwargs: Any) -> Iterator[None]:
-    """Apply tolerance overrides inside a ``with`` block, then restore."""
-    global CONFIG
-    old = CONFIG
-    set_tolerances(**kwargs)
+    """Apply tolerance overrides inside a ``with`` block, then restore.
+
+    The overrides start from the config in effect and hold for the current
+    context only; other threads keep reading their own config.
+    """
+    token = _override.set(_updated(current(), kwargs))
     try:
         yield
     finally:
-        CONFIG = old
+        _override.reset(token)
+
+
+class _ConfigModule(types.ModuleType):
+    @property
+    def CONFIG(self) -> Tolerances:  # noqa: N802 - the module constant's name
+        return current()
+
+    @CONFIG.setter
+    def CONFIG(self, value: Tolerances) -> None:  # noqa: N802
+        global _process_wide
+        _process_wide = value
+
+
+sys.modules[__name__].__class__ = _ConfigModule

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -152,84 +152,249 @@ class CapacitySearchResult:
 #: pairs, which bounds its memory; so does each refinement chunk.
 _RANKED_PAIRS = 2_000_000
 _SCAN_ENTRIES = 1 << 18
+#: Refinement starts, and improving moves a start may make per window.
+_N_STARTS = 24
+_MOVE_BUDGET = 40
 
 
 def _entropy_term_tables(mix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Flattened p log2 p tables of the mixes behind H(V), H(Z=0, V), H(Z=1, V).
 
     ``mix`` holds the rows p(yr), p(z=0, yr) and p(z=1, yr). ``a`` and ``b``
-    broadcast to one 2-D shape and hold letter values of the rows
+    broadcast to one shape and hold letter values of the rows
     p(v | yr=0) and p(v | yr=1); row t of the result holds the terms of
     mix[t, 0] a + mix[t, 1] b, flattened.
     """
-    return entropy_terms(mix[:, 0, None, None] * a + mix[:, 1, None, None] * b).reshape(3, -1)
+    p = np.empty((3, *np.broadcast_shapes(np.shape(a), np.shape(b))))
+    for t in range(3):
+        np.multiply(a, mix[t, 0], out=p[t])
+        p[t] += mix[t, 1] * b
+    return entropy_terms(p).reshape(3, -1)
+
+
+def _scores(mix: np.ndarray, c0: float, term_sum: Callable[[int], np.ndarray],
+            ha: np.ndarray, hb: np.ndarray, usable: np.ndarray | bool = True) -> np.ndarray:
+    """Objective 1 - H(Z|V) of row pairs (a, b), -inf where infeasible.
+
+    ``mix`` is as in ``_entropy_term_tables``, and ``term_sum(t)`` returns a
+    new array holding, for every pair, the p log2 p terms of mix t added
+    over the letters in letter order, as ``entropy_letters_first`` adds
+    them: each entropy is kept as its term sum s = -H. Negation is exact,
+    so s_V + m >= -(c0 + 1e-9) and 1 - (s_V - s_ZV) round as
+    H(V) - m <= c0 + 1e-9 and 1 - (H(Z,V) - H(V)), where m mixes the rows'
+    entropies ``ha`` and ``hb`` by p(yr); they broadcast to the scores'
+    shape. A pair is feasible when I(Yr;V) <= c0 up to a 1e-9 slack,
+    ``usable`` is True and neither row entropy is NaN (the refinement's
+    mark of a row off the simplex).
+    """
+    s_v = term_sum(0)
+    m = mix[0, 0] * ha + mix[0, 1] * hb
+    m += s_v
+    feasible = m >= -(c0 + 1e-9)
+    if usable is not True:
+        feasible &= usable
+    # +inf where feasible, -inf elsewhere, so a minimum masks without branches
+    cap = m
+    cap[...] = feasible
+    cap -= 0.5
+    cap *= np.inf
+    s_zv = term_sum(1)
+    s_zv += term_sum(2)
+    np.subtract(s_v, s_zv, out=s_zv)
+    np.subtract(1.0, s_zv, out=s_zv)
+    return np.minimum(s_zv, cap, out=s_zv)
 
 
 def _pair_scores(mix: np.ndarray, c0: float, tables: np.ndarray, idx: np.ndarray,
                  ha: np.ndarray, hb: np.ndarray,
                  usable: np.ndarray | bool = True) -> np.ndarray:
-    """Objective 1 - H(Z|V) of row pairs (a, b), -inf where infeasible.
+    """``_scores`` of pairs whose terms are gathered by index.
 
-    ``mix`` and ``tables`` are as in ``_entropy_term_tables``, and ``idx[v]``
-    holds each pair's flat table index of letter v, so each entropy is a
-    negated sum of gathered terms, added in letter order as
-    ``entropy_letters_first`` adds them. ``ha`` and ``hb`` are the entropies
-    of the rows, broadcasting to the pairs' shape. A pair is feasible when
-    I(Yr;V) <= c0 up to a 1e-9 slack and ``usable`` is True.
+    ``tables[t]`` holds the terms of mix t along its first axis, and
+    ``idx[v]`` holds each pair's index of letter v on that axis; further
+    table axes (one per refinement start) are carried along, after the
+    pairs' axes.
     """
-    buf = np.empty(idx.shape[1:])
+    buf = np.empty(idx.shape[1:] + tables.shape[2:])
 
-    def entropy(terms: np.ndarray) -> np.ndarray:
+    def term_sum(t: int) -> np.ndarray:
         # every index is in range; "wrap" only skips the slower default check
-        acc = np.take(terms, idx[0], mode="wrap")
+        acc = np.take(tables[t], idx[0], axis=0, mode="wrap")
         for iv in idx[1:]:
-            acc += np.take(terms, iv, mode="wrap", out=buf)
-        return np.negative(acc, out=acc)
+            acc += np.take(tables[t], iv, axis=0, mode="wrap", out=buf)
+        return acc
 
-    hv = entropy(tables[0])
-    feasible = (hv - (mix[0, 0] * ha + mix[0, 1] * hb) <= c0 + 1e-9) & usable
-    hzv = entropy(tables[1]) + entropy(tables[2])
-    return np.where(feasible, 1.0 - (hzv - hv), -np.inf)
+    return _scores(mix, c0, term_sum, ha, hb, usable)
+
+
+def _grid_term_sum(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> Callable[[int], np.ndarray]:
+    """``term_sum`` of ``_scores`` for the pairs (i, j) whose letter v is
+    entry (a[v, i], b[v, j]) of each 2-D table ``tables[t]``.
+
+    A letter's terms are gathered in two steps, the rows' entries and then
+    each pair's, which beats gathering by a flat index per pair.
+    """
+    buf = np.empty((a.shape[1], b.shape[1]))
+
+    def term_sum(t: int) -> np.ndarray:
+        acc = np.take(tables[t, a[0]], b[0], axis=1)
+        for av, bv in zip(a[1:], b[1:]):
+            acc += np.take(tables[t, av], bv, axis=1, out=buf)
+        return acc
+
+    return term_sum
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_grid(grid_resolution: int, v_size: int, tol_supp: float):
+    """Grid rows of ``modadd_capacity``'s scan, letters first, with their
+    entropies and level indices, as read-only arrays built once.
+
+    Every grid entry is one of the levels k / R, bitwise, and
+    ``level_idx[v, i]`` is the k of letter v of row i. ``tol_supp`` keys the
+    cache, since the entropies read it.
+    """
+    rows = _simplex_grid(v_size, grid_resolution).T.copy()
+    grid = (rows, entropy_letters_first(rows), np.rint(rows * grid_resolution).astype(np.intp))
+    for table in grid:
+        table.setflags(write=False)
+    return grid
 
 
 @functools.lru_cache(maxsize=8)
 def _refine_moves(grid_resolution: int, v_size: int, refine_steps: int):
-    """Offsets per move, window sizes and offset tables of
-    ``modadd_capacity``'s refinement.
+    """Offsets, window sizes and index tables of ``modadd_capacity``'s
+    refinement.
 
-    They depend only on the arguments, so they are built once per argument
-    triple, with the tables as read-only arrays. Per window: the offsets
-    ``offs`` (|V|, offsets per move), and the table layout of a move.
+    Offset o moves letter d < |V| - 1 of a row by one of five ticks times
+    the window and the last letter by minus their sum. So letter v of a
+    candidate row is the current letter plus one of that letter's distinct
+    offsets, its slots, and letter v of a candidate pair is one of the
+    slot pairs of letter v, its table entries. Slots and entries of every
+    letter are listed end to end. They depend only on the arguments, so
+    they are built once per argument triple, as read-only arrays in two
+    groups. Per window, on the last axis: the offsets ``offs`` (|V|,
+    offsets, windows) and the slots' offsets ``slot_offs`` (slots,
+    windows). Shared by every window and any number of starts:
+    ``slot_letter`` (the letter of each slot), ``slot_of[v, o]`` (the slot
+    of letter v of offset o), ``entries`` (2, entries; the slots of both
+    rows per entry), and ``entry0`` and ``entry1`` (|V|, offsets): letter v
+    of the pair of offsets (o0, o1) is entry entry0[v, o0] + entry1[v, o1].
     """
     ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"))
     unit = unit.reshape(v_size - 1, -1)
+    n_offs = unit.shape[1]
     windows = tuple(1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps))
-    moves = []
-    for window in windows:
+    offs = np.empty((v_size, n_offs, len(windows)))
+    for w, window in enumerate(windows):
         head = unit * window
-        offs = np.vstack([head, -head.sum(axis=0)])
-        # Letter v of a candidate row is the current letter plus one of the
-        # distinct offsets u of letter v, so letter v of a pair takes one of
-        # u.size ** 2 value pairs. Those of every letter are listed end to
-        # end, as table entries: entry e adds pair_offs[:, e] to letter
-        # owner[e] of both rows, and letter v of the pair of offsets (r0, r1)
-        # is entry place_a[v, r0] + place_b[v, r1].
-        letters = [np.unique(o, return_inverse=True) for o in offs]
-        owner, pair_offs, place_a = [], [], []
-        for v, (u, inv) in enumerate(letters):
-            place_a.append(len(owner) + inv * u.size)
-            owner += [v] * u.size ** 2
-            pair_offs += [(a, b) for a in u.tolist() for b in u.tolist()]
-        owner = np.array(owner)
-        # the rows of current.reshape(2 * |V|, -1) that each entry reads
-        sel = np.stack([2 * owner, 2 * owner + 1])
-        move = (offs, sel, np.array(pair_offs).T, np.stack(place_a),
-                np.stack([inv for _, inv in letters]))
-        for table in move:
+        offs[:, :, w] = np.vstack([head, -head.sum(axis=0)])
+    # offsets count as distinct when they differ in some window
+    slot_offs, slot_letter, slot_of, entries, entry0, entry1 = [], [], [], [], [], []
+    n_slots = n_entries = 0
+    for v in range(v_size):
+        _, first, inv = np.unique(offs[v], axis=0, return_index=True, return_inverse=True)
+        inv, n = inv.ravel(), first.size
+        slot_offs.append(offs[v, first])
+        slot_letter += [v] * n
+        slot_of.append(n_slots + inv)
+        entries += [(n_slots + a, n_slots + b) for a in range(n) for b in range(n)]
+        entry0.append(n_entries + inv * n)
+        entry1.append(inv)
+        n_slots += n
+        n_entries += n * n
+    tables = ((offs, np.vstack(slot_offs)),
+              (np.array(slot_letter), np.stack(slot_of), np.array(entries).T,
+               np.stack(entry0), np.stack(entry1)))
+    for group in tables:
+        for table in group:
             table.setflags(write=False)
-        moves.append(move)
-    return unit.shape[1], windows, tuple(moves)
+    return n_offs, windows, tables
+
+
+def _refine(mix: np.ndarray, c0: float, current: np.ndarray, vals: np.ndarray,
+            moves: tuple) -> np.ndarray:
+    """Move every start through its windows; return its value after each.
+
+    ``current[:, :, s]`` holds the rows (2, |V|) of start s and ``vals[s]``
+    its value; both are updated in place. ``moves`` is ``_refine_moves``'s
+    result for the search sizes. Each start takes the first best
+    pair of its move's grid in row-major order, and ends a window at its
+    first move that does not improve, or after ``_MOVE_BUDGET`` moves that
+    do. A pass moves every start that has windows left, each in its own
+    window, so no start waits at a window boundary for the others.
+
+    A pass tabulates, per start, the p log2 p terms of the rows' letters
+    over their slots, giving the candidate rows' entropies, and those of
+    H(V) and both H(Z, V) over the slot pairs, which ``_pair_scores``
+    gathers; the starts are on the last axis, so one index table serves
+    any number of them. A row off the simplex gets a NaN entropy, so its
+    pairs are infeasible; rows that leave the simplex for every start of a
+    chunk are not paired at all. The centre offset (the current pair) is
+    always on the simplex. Pairs are scored in chunks of whole starts, or
+    of one start's rows of row 0 when a start alone is too large, at most
+    ``_SCAN_ENTRIES // (3 |V|)`` pairs at a time.
+    """
+    v_size, n_starts = current.shape[1:]
+    n_offs, windows, ((offs, slot_offs), (slot_letter, slot_of, entries, entry0, entry1)) = moves
+    start_chunk = max(1, _SCAN_ENTRIES // (3 * n_offs * n_offs * v_size))
+    offs_chunk = min(n_offs, max(1, _SCAN_ENTRIES // (3 * n_offs * v_size)))
+    window_vals = np.empty((n_starts, len(windows)))
+    win = np.zeros(n_starts, dtype=np.intp)  # each start's window
+    used = np.zeros(n_starts, dtype=np.intp)  # its improving moves in that window
+    active = np.arange(n_starts if windows else 0)
+    while active.size:
+        cur = current[:, :, active]
+        w = win[active]
+        slots = cur[:, slot_letter] + slot_offs[:, w]
+        off_simplex = slots < -1e-15
+        np.clip(slots, 0.0, 1.0, out=slots)
+        terms = entropy_terms(slots)
+        np.copyto(terms, np.nan, where=off_simplex)
+        # candidate rows' entropies (2, offsets, starts), letters added in order
+        h = np.take(terms, slot_of[0], axis=1)
+        for sv in slot_of[1:]:
+            h += np.take(terms, sv, axis=1)
+        np.negative(h, out=h)
+        # entries x starts, flattened, so the mixing runs as whole-array passes
+        tables = _entropy_term_tables(mix, slots[0, entries[0]].ravel(),
+                                      slots[1, entries[1]].ravel())
+        tables = tables.reshape(3, -1, active.size)
+        # each start's first best pair in row-major order: the first
+        # maximum of its flattened scores, taken over chunks in order; rows
+        # left out score -inf, as their pairs would
+        best = np.full(active.size, -np.inf)
+        pair = np.zeros((2, active.size), dtype=np.intp)
+        for s in range(0, active.size, start_chunk):
+            t = min(active.size, s + start_chunk)
+            on = ~np.isnan(h[:, :, s:t]).all(axis=2)
+            rows0, rows1 = np.flatnonzero(on[0]), np.flatnonzero(on[1])
+            col = entry1[:, None, rows1]
+            for r in range(0, rows0.size, offs_chunk):
+                r0 = rows0[r:r + offs_chunk]
+                obj = _pair_scores(mix, c0, tables[:, :, s:t], entry0[:, r0, None] + col,
+                                   h[0, r0, None, s:t], h[1, rows1, s:t])
+                obj = obj.reshape(-1, t - s).T
+                first = obj.argmax(axis=1)
+                val = obj[np.arange(t - s), first]
+                gain = np.flatnonzero(val > best[s:t])
+                best[s + gain] = val[gain]
+                i, j = np.divmod(first[gain], rows1.size)
+                pair[:, s + gain] = r0[i], rows1[j]
+        better = best > vals[active] + 1e-15
+        moved = np.flatnonzero(better)
+        s_moved = active[moved]
+        vals[s_moved] = best[moved]
+        rows = cur[:, :, moved] + offs[:, pair[:, moved], w[moved]].swapaxes(0, 1)
+        current[:, :, s_moved] = np.clip(rows, 0.0, 1.0, out=rows)
+        used[s_moved] += 1
+        ended = active[~better | (used[active] == _MOVE_BUDGET)]
+        window_vals[ended, win[ended]] = vals[ended]
+        win[ended] += 1
+        used[ended] = 0
+        active = active[win[active] < len(windows)]
+    return window_vals
 
 
 def modadd_capacity(params: ModAddParams, grid_resolution: int,
@@ -248,13 +413,13 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     current letter plus one of that letter's distinct offsets in a
     refinement move. So the scan, and each move, first tabulates the terms
     of H(V) and of both H(Z, V) over those values, then scores every pair
-    by gathering its letters' terms and adding them in letter order;
-    infeasible pairs score -inf. Pmf arrays are stored letters first, shape
-    (|V|, ...). The refinement moves all starts in lockstep, scoring the
-    offset grids of every start still improving in one pass, in chunks of
-    whole starts (or of one start's rows when a start alone is too large).
-    Both score at most ``_SCAN_ENTRIES // (3 |V|)`` pairs at a time, so
-    memory stays bounded at any resolution and any |V|.
+    by adding its letters' terms in letter order; infeasible pairs score
+    -inf. The grid pmfs are stored letters first, shape (|V|, ...). The 24
+    best grid pairs each refine through their own windows (``_refine``).
+    The scan scores at most ``_SCAN_ENTRIES // (3 |V|)`` pairs at a time,
+    and so does the refinement, so memory stays bounded at any resolution
+    and any |V|. The grid, the offsets and their index tables depend only
+    on the search sizes and are built once per size.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -268,15 +433,13 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
     mix = np.vstack([p_zyr.sum(axis=0), p_zyr])
 
-    rows = _simplex_grid(v_size, grid_resolution).T.copy()
-    h_rows = entropy_letters_first(rows)
+    rows, h_rows, level_idx = _scan_grid(grid_resolution, v_size, config.current().tol_supp)
     m = rows.shape[1]
-    # every grid entry is one of the levels k / R, bitwise
     levels = np.arange(grid_resolution + 1) / grid_resolution
+    # letter v of the pair of grid rows (i, j) is entry
+    # (level_idx[v, i], level_idx[v, j]) of a levels x levels table
     tables = _entropy_term_tables(mix, levels[:, None], levels)
-    level_idx = np.rint(rows * grid_resolution).astype(np.intp)
-    a_idx = level_idx * levels.size
-    n_starts = 24
+    tables = tables.reshape(3, levels.size, levels.size)
     candidates: list[tuple[float, int, int]] = []
     group = max(1, _RANKED_PAIRS // m)
     batch = max(1, _SCAN_ENTRIES // (3 * m * v_size))
@@ -285,11 +448,11 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
         obj = np.empty((stop - start, m))
         for lo in range(start, stop, batch):
             hi = min(stop, lo + batch)
-            obj[lo - start:hi - start] = _pair_scores(
-                mix, c0, tables, a_idx[:, lo:hi, None] + level_idx[:, None],
+            obj[lo - start:hi - start] = _scores(
+                mix, c0, _grid_term_sum(tables, level_idx[:, lo:hi], level_idx),
                 h_rows[lo:hi, None], h_rows)
         flat = obj.ravel()
-        top = np.argpartition(flat, -min(n_starts, flat.size))[-min(n_starts, flat.size):]
+        top = np.argpartition(flat, -min(_N_STARTS, flat.size))[-min(_N_STARTS, flat.size):]
         for f in top:
             i, j = divmod(int(f), m)
             if np.isfinite(flat[f]):
@@ -303,70 +466,18 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     # half the current window, window halving per step. Moving the rows
     # together lets the search slide along the I(Yr;V) = c0 boundary, where
     # per-row exchanges stall. Multi-start from the top grid pairs escapes
-    # shallow basins of the coarse grid. Each start takes the first best
-    # pair of its grid in row-major order and stops at its first move that
-    # does not improve; offsets leaving the simplex score -inf, and the
-    # centre offset (the current pair) is always on it.
-    n_offs, windows, moves = _refine_moves(grid_resolution, v_size, refine_steps)
-
-    starts = candidates[:n_starts]
+    # shallow basins of the coarse grid.
+    starts = candidates[:_N_STARTS]
     vals = np.array([val for val, _, _ in starts])
-    # current[:, 0, s] and current[:, 1, s] are the two rows of start s
-    current = np.stack([rows[:, [i for _, i, _ in starts]], rows[:, [j for _, _, j in starts]]],
-                       axis=1)
-    window_vals = np.empty((len(starts), len(windows)))
-    # starts per score chunk, and offsets of row 0 per chunk
-    start_chunk = max(1, _SCAN_ENTRIES // (3 * n_offs * n_offs * v_size))
-    offs_chunk = min(n_offs, max(1, _SCAN_ENTRIES // (3 * n_offs * v_size)))
-    for w, (offs, sel, pair_offs, place_a, place_b) in enumerate(moves):
-        active = np.arange(len(starts))
-        for _ in range(40):  # move budget per window size
-            cur = current[:, :, active]
-            cand = cur[..., None] + offs[:, None, None, :]
-            usable = (cand >= -1e-15).all(axis=0)
-            np.clip(cand, 0.0, 1.0, out=cand)
-            h = entropy_letters_first(cand)
-            # both rows' values of every entry, (starts, 2, entries), give
-            # term tables (3, starts * entries) holding every term the
-            # move's pairs add up
-            values = cur.reshape(2 * v_size, -1).T[:, sel] + pair_offs
-            np.clip(values, 0.0, 1.0, out=values)
-            n = values.shape[-1]
-            tables = _entropy_term_tables(mix, values[:, 0], values[:, 1])
-            # Score whole starts per chunk, or offsets of row 0 of one start
-            # per chunk when a start alone exceeds it. The first maximum of
-            # each row, then the first row reaching the start's maximum, is
-            # the first maximum of the start's grid in row-major order.
-            row_arg = np.empty((active.size, n_offs), dtype=np.intp)
-            row_best = np.empty((active.size, n_offs))
-            for s in range(0, active.size, start_chunk):
-                t = min(active.size, s + start_chunk)
-                for r in range(0, n_offs, offs_chunk):
-                    q = min(n_offs, r + offs_chunk)
-                    row0 = np.arange(s, t)[:, None] * n + place_a[:, None, r:q]
-                    obj = _pair_scores(mix, c0, tables, row0[..., None] + place_b[:, None, None],
-                                       h[0, s:t, r:q, None], h[1, s:t, None],
-                                       usable[0, s:t, r:q, None] & usable[1, s:t, None])
-                    row_arg[s:t, r:q] = obj.argmax(axis=-1)
-                    row_best[s:t, r:q] = obj.max(axis=-1)
-            at = np.arange(active.size)
-            i = row_best.argmax(axis=1)
-            j = row_arg[at, i]
-            best = row_best[at, i]
-            better = best > vals[active] + 1e-15
-            active = active[better]
-            vals[active] = best[better]
-            current[:, 0, active] = cand[:, 0, better, i[better]]
-            current[:, 1, active] = cand[:, 1, better, j[better]]
-            if not active.size:
-                break
-        window_vals[:, w] = vals
+    current = np.stack([rows[:, [i for _, i, _ in starts]], rows[:, [j for _, _, j in starts]]])
+    moves = _refine_moves(grid_resolution, v_size, refine_steps)
+    window_vals = _refine(mix, c0, current, vals, moves)
 
     best_start = int(np.argmax(vals))  # the first best, as a strict > over the starts
     trace = [(f"grid/{grid_resolution}", grid_best)]
     trace += [(f"refine/{window / 2.0:.3e}", float(v))
-              for window, v in zip(windows, window_vals[best_start])]
-    return CapacitySearchResult(float(vals[best_start]), current[:, :, best_start].T.copy(),
+              for window, v in zip(moves[1], window_vals[best_start])]
+    return CapacitySearchResult(float(vals[best_start]), current[:, :, best_start].copy(),
                                 tuple(trace))
 
 
@@ -512,7 +623,7 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     lost = p + q - p * q  # 1 - keep, without cancellation when keep rounds to 1
 
     constraints: list[tuple[float, float]] = []  # (intercept, slope) of residual(lam)
-    tol = config.CONFIG.tol_supp
+    tol = config.current().tol_supp
     for branch, ratio in ((1.0 - p, 1.0), (p, 0.5)):  # y1 = x, then y1 = e
         cell = 0.5 * (1.0 - p) * branch  # p(x, y1, yr = x), uniform x
         if cell * (1.0 - q) > tol and cell * q > tol:
@@ -536,7 +647,7 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
         for c, s in ((c1 - c2, s1 - s2), (c1 + c2, s1 + s2)):
             if s != 0.0:
                 cands.append(-c / s)
-    tol_dev = config.CONFIG.tol_dev
+    tol_dev = config.current().tol_dev
     ends = [lam for lam in (0.0, 1.0) if dev(lam) <= tol_dev]
     lam = ends[0] if ends else min((min(1.0, max(0.0, float(x))) for x in cands), key=dev)
     infeasible = dev(lam) > tol_dev

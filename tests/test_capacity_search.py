@@ -6,8 +6,9 @@ information in a Python double loop, and ``modadd_capacity`` rebuilding its
 offset grid and running three entropy passes per refinement move. Batching
 the evaluations must leave every search step, hence every output, as it was.
 ``reference_modadd_capacity`` keeps the search that refines one start at a
-time on row-major pmfs, with its own row-major entropy; the lockstep search
-over letters-first arrays must match it bit for bit.
+time on row-major pmfs, with its own row-major entropy; the search that
+walks every start through its own windows, on letters-first arrays, must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -195,6 +196,10 @@ def _oracle_cases():
     # c0 = 0: every kernel with two equal rows scores the same, so many
     # pairs tie; at resolution 53 the scan ranks two groups of rows
     cases += [(0.11, 0.2, 0.0, r, 3, 8) for r in (7, 10, 20, 33, 53)]
+    # starts that spend all 40 moves of a window, so the window ends at the
+    # move budget rather than at a move that does not improve
+    cases += [(0.0456, 0.1562, 0.6555, 20, 3, 8), (0.1094, 0.0505, 0.541, 20, 3, 8)]
+    cases += [(0.27, 0.08, 0.12, 10, 3, 0)]  # no refinement: the trace is the grid's
     cases += [(0.2, 0.1, 0.05, 7, 4, 3)]  # 125 x 125 offset pairs per start
     # |V| = 5: 625 x 625 offset pairs, so one start alone exceeds a chunk and
     # its row-0 offsets are scored in slices

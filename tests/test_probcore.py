@@ -1,5 +1,7 @@
 import json
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -254,6 +256,60 @@ def test_tolerances_must_be_finite_and_nonnegative(field, value):
     assert config.CONFIG is before
     with config.temporary_tolerances(**{field: 0.0}):
         assert getattr(config.CONFIG, field) == 0.0
+
+
+def test_temporary_tolerances_hold_per_thread():
+    # More threads than cores, each holding its own tol_supp in a block, all
+    # blocks open at once and switching often. Each thread sees only its own
+    # value, in the config and in the entropy terms it computes, and the
+    # process-wide config stays as it was.
+    before = config.CONFIG
+    tols = (1e-6, 1e-5, 1e-3, 1e-2)
+    all_open = threading.Barrier(len(tols), timeout=10)
+    seen = {}
+
+    def hold(tol_supp: float) -> None:
+        with config.temporary_tolerances(tol_supp=tol_supp):
+            all_open.wait()
+            seen[tol_supp] = {(config.current().tol_supp, cfdiamond.CONFIG.tol_supp,
+                               float(probcore.entropy_terms(np.array([5e-4]))[0]))
+                              for _ in range(200)}
+            all_open.wait()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold, args=(tol,)) for tol in tols]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    term = 5e-4 * np.log2(5e-4)
+    assert seen == {tol: {(tol, tol, term if tol < 5e-4 else 0.0)} for tol in tols}
+    assert config.CONFIG is before
+
+
+def test_set_tolerances_is_process_wide():
+    before = config.CONFIG
+    try:
+        config.set_tolerances(tol_dev=1e-5)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(config.current().tol_dev))
+        thread.start()
+        thread.join()
+        assert seen == [1e-5]
+        with config.temporary_tolerances(tol_lp=1e-6):
+            # an open block starts from the config in effect and keeps it
+            assert (config.current().tol_dev, config.current().tol_lp) == (1e-5, 1e-6)
+            config.set_tolerances(tol_dev=1e-4)
+            assert config.current().tol_dev == 1e-5
+        assert config.current().tol_dev == 1e-4
+    finally:
+        config.CONFIG = before
+    assert config.current() is before
 
 
 @settings(max_examples=100, deadline=None)

@@ -697,10 +697,9 @@ def test_verdict_precondition_fails_like_reference():
         reference_verdict(spec, cd).to_json_dict())
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_verdict_matches_reference_with_zeros(seed):
-    # Zeros in the broadcast channel and in the compression kernel.
+def zero_rich_instance(seed):
+    """A small Markov instance with zeros in the broadcast channel and in the
+    compression kernel."""
     rng = np.random.default_rng(seed)
     su, sx, sy1, syr, sv = (int(k) for k in rng.integers([1, 2, 2, 2, 2], [3, 4, 4, 4, 4],
                                                          endpoint=True))
@@ -714,7 +713,29 @@ def test_verdict_matches_reference_with_zeros(seed):
                     markov_form=True)
     spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), rows),
                         c0=float(rng.uniform(0.0, 1.0)))
+    return spec, cd
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verdict_matches_reference_with_zeros(seed):
+    spec, cd = zero_rich_instance(seed)
     assert outcome(infinite_slope_verdict, spec, cd) == outcome(reference_verdict, spec, cd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_direction_value_is_bounded_by_alignment_deviation(seed):
+    # Weak duality between the direction LP and the alignment search. At any
+    # lambda, g(lambda) = max_r c.r adds, per tuple, p(tuple) times the sum of
+    # the top half minus the bottom half of the tuple's deviation profile, at
+    # most |V| // 2 times its spread. So t* = min g <= g(lambda*) is at most
+    # |V| // 2 times the least deviation check_lambda finds.
+    spec, cd = zero_rich_instance(seed)
+    view = JointView.of(build_joint(spec, cd))
+    _, t_star = find_direction(view)
+    _, dev = check_lambda(view, best=True)
+    assert t_star <= (cd.v_kernel.rows.shape[1] // 2) * dev + 1e-10
 
 
 def count_calls(monkeypatch, functions):
