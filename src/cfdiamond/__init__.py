@@ -88,5 +88,5 @@ def __getattr__(name: str) -> Any:
     # set_tolerances and temporary_tolerances change the config in effect,
     # so a copy bound here at import would go stale; resolve it on each access.
     if name == "CONFIG":
-        return config.current()
+        return config.CONFIG
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

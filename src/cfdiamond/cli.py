@@ -290,12 +290,11 @@ def main(argv: list[str] | None = None) -> int:
         with config.temporary_tolerances(**overrides):
             log.debug("running %s", args.command)
             result, csv_text = args.run(args)
-            tol = config.current()
             payload = {"command": args.command,
-                       "config": {"tol_norm": tol.tol_norm,
-                                  "tol_supp": tol.tol_supp,
-                                  "tol_dev": tol.tol_dev,
-                                  "tol_lp": tol.tol_lp,
+                       "config": {"tol_norm": config.CONFIG.tol_norm,
+                                  "tol_supp": config.CONFIG.tol_supp,
+                                  "tol_dev": config.CONFIG.tol_dev,
+                                  "tol_lp": config.CONFIG.tol_lp,
                                   "alpha_schedule": (list(args.alpha_schedule)
                                                      if args.alpha_schedule else None),
                                   "grid_resolution": args.grid_resolution},

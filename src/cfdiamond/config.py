@@ -1,15 +1,15 @@
 """Numerical tolerances shared across the package.
 
 All comparisons against "zero probability", "normalized", "constant", and
-"LP feasible" read one config through ``current()``, so that command-line
-overrides apply uniformly and reports can embed the values actually used.
+"LP feasible" read one config, ``CONFIG``, so that command-line overrides
+apply uniformly and reports can embed the values actually used.
 
 ``set_tolerances`` replaces the process-wide config. ``temporary_tolerances``
 overrides it inside a ``with`` block for the current context only (the
 thread, or the asyncio task), through a ``contextvars.ContextVar``, so
 threads that each hold their own block do not see each other's values.
-``CONFIG`` reads the live config, as ``current()`` does; assigning it
-replaces the process-wide config.
+``CONFIG`` reads the config in effect: this context's override, else the
+process-wide config. Assigning it replaces the process-wide config.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _process_wide = Tolerances()
 _override: contextvars.ContextVar[Tolerances] = contextvars.ContextVar("cfdiamond_tolerances")
 
 
-def current() -> Tolerances:
+def _current() -> Tolerances:
     """The tolerances in effect: this context's override, else the process-wide config."""
     return _override.get(_process_wide)
 
@@ -86,7 +86,7 @@ def temporary_tolerances(**kwargs: Any) -> Iterator[None]:
     The overrides start from the config in effect and hold for the current
     context only; other threads keep reading their own config.
     """
-    token = _override.set(_updated(current(), kwargs))
+    token = _override.set(_updated(_current(), kwargs))
     try:
         yield
     finally:
@@ -96,7 +96,7 @@ def temporary_tolerances(**kwargs: Any) -> Iterator[None]:
 class _ConfigModule(types.ModuleType):
     @property
     def CONFIG(self) -> Tolerances:  # noqa: N802 - the module constant's name
-        return current()
+        return _current()
 
     @CONFIG.setter
     def CONFIG(self, value: Tolerances) -> None:  # noqa: N802

@@ -7,7 +7,7 @@ another, one pmf row per conditioning configuration.
 Conventions:
 
 - All information quantities are in bits (log base 2), with 0 log 0 = 0.
-- Entries at or below ``config.current().tol_supp`` are exact zeros for every
+- Entries at or below ``config.CONFIG.tol_supp`` are exact zeros for every
   logarithm and support-set computation.
 - Values are immutable after construction and every operation is a pure
   function, so parallel evaluation over independent inputs needs no locks.
@@ -129,8 +129,8 @@ class FiniteDist:
             raise SchemaError(f"pmf has negative entry {low}")
         np.clip(arr, 0.0, None, out=arr)
         s = float(arr.sum())
-        if abs(s - 1.0) > config.current().tol_norm:
-            raise SchemaError(f"pmf sums to {s}, not 1 within {config.current().tol_norm}")
+        if abs(s - 1.0) > config.CONFIG.tol_norm:
+            raise SchemaError(f"pmf sums to {s}, not 1 within {config.CONFIG.tol_norm}")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "pmf", _freeze(arr))
 
@@ -211,7 +211,7 @@ class CondKernel:
         np.clip(rows, 0.0, None, out=rows)
         sums = rows.sum(axis=1)
         check = sums if defined is None else sums[defined]
-        if check.size and np.max(np.abs(check - 1.0)) > config.current().tol_norm:
+        if check.size and np.max(np.abs(check - 1.0)) > config.CONFIG.tol_norm:
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise SchemaError(f"kernel row {bad} sums to {sums[bad]}, not 1")
         object.__setattr__(self, "from_vars", from_vars)
@@ -303,7 +303,7 @@ def _marginal_array(d: FiniteDist, names: tuple[str, ...]) -> np.ndarray:
 
 def _h_bits(p: np.ndarray) -> float:
     flat = p.ravel()
-    flat = flat[flat > config.current().tol_supp]
+    flat = flat[flat > config.CONFIG.tol_supp]
     if flat.size == 0:
         return 0.0
     return float(-(flat * np.log2(flat)).sum())
@@ -315,7 +315,7 @@ def entropy_terms(p: np.ndarray) -> np.ndarray:
     The temporaries are one float array and one mask of the input's shape.
     """
     p = np.asarray(p, dtype=float)
-    supported = p > config.current().tol_supp
+    supported = p > config.CONFIG.tol_supp
     terms = np.where(supported, p, 1.0)
     np.log2(terms, out=terms)
     np.multiply(terms, p, out=terms, where=supported)
@@ -368,9 +368,9 @@ def mutual_information(d: FiniteDist, a: Any, b: Any, given: Any = None) -> floa
     _check_disjoint(aa, bb, gg)
     raw = (entropy(d, aa + gg) + entropy(d, bb + gg)
            - entropy(d, aa + bb + gg) - entropy(d, gg))
-    if not raw >= -config.current().tol_norm:
+    if not raw >= -config.CONFIG.tol_norm:
         raise InfeasibleError(f"mutual information {raw!r} is not >= -tol_norm "
-                              f"= -{config.current().tol_norm}")
+                              f"= -{config.CONFIG.tol_norm}")
     return max(0.0, raw)
 
 
@@ -378,7 +378,7 @@ def binary_entropy(x: float) -> float:
     """H(x) for a Bernoulli(x) variable, in bits."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    tol = config.current().tol_supp
+    tol = config.CONFIG.tol_supp
     out = 0.0
     if x > tol:
         out -= x * np.log2(x)
@@ -419,7 +419,7 @@ def condition(d: FiniteDist, given: Any) -> CondKernel:
     n_from = int(np.prod([d.alphabet(n).size for n in g]))
     flat = arr.reshape(n_from, -1)
     mass = flat.sum(axis=1)
-    defined = mass > config.current().tol_supp
+    defined = mass > config.CONFIG.tol_supp
     rows = np.zeros_like(flat)
     rows[defined] = flat[defined] / mass[defined, None]
     return CondKernel(tuple(d.alphabet(n) for n in g),
@@ -446,7 +446,7 @@ def compose(d: FiniteDist, k: CondKernel) -> FiniteDist:
         raise SchemaError(f"kernel outputs already present: {sorted(collide)}")
     if k.defined is not None:
         mass = _marginal_array(d, k.from_names).ravel()
-        bad = (mass > config.current().tol_supp) & ~k.defined
+        bad = (mass > config.CONFIG.tol_supp) & ~k.defined
         if bad.any():
             raise UndefinedRowError(
                 f"input mass {mass[bad].max()} on undefined row {int(np.argmax(bad))} "
@@ -488,5 +488,5 @@ def conditional_table(d: FiniteDist, target: Any, given: Any) -> np.ndarray:
     t_axes = tuple(range(len(g), len(g) + len(t)))
     mass = arr.sum(axis=t_axes, keepdims=True)
     out = np.zeros_like(arr)
-    np.divide(arr, mass, out=out, where=mass > config.current().tol_supp)
+    np.divide(arr, mass, out=out, where=mass > config.CONFIG.tol_supp)
     return out

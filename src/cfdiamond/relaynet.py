@@ -153,7 +153,7 @@ class CodingDist:
         if self.markov_form:
             t = self.v_kernel.tensor
             dev = float(np.abs(t - t[:, :1, :1, :, :]).max())
-            if dev > config.current().tol_supp:
+            if dev > config.CONFIG.tol_supp:
                 raise SchemaError(
                     f"markov_form set but kernel varies with (x, y1) by {dev}")
 
@@ -254,7 +254,7 @@ def eval_cf_rate(spec: RelayNetSpec, cd: CodingDist) -> RateReport:
     distribution, reporting feasibility against the cooperation budget."""
     joint = build_joint(spec, cd)
     bound1, bound2, cf_required, terms = rate_bounds(joint, spec.c0)
-    feasible = cf_required <= spec.c_cf + config.current().tol_norm
+    feasible = cf_required <= spec.c_cf + config.CONFIG.tol_norm
     achievable = min(bound1, bound2) if feasible else None
     return RateReport(bound1, bound2, cf_required, feasible, achievable, terms)
 

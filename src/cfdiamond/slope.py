@@ -137,7 +137,7 @@ class Perturbation:
         if sums.size and sums.max() > 1e-12:
             raise ValueError(f"direction rows must sum to zero, worst residual {sums.max()}")
         mk = markov_kernel(base)  # (U, Yr, V)
-        off = np.abs(r) * (mk[:, None, None, :, :] <= config.current().tol_supp)
+        off = np.abs(r) * (mk[:, None, None, :, :] <= config.CONFIG.tol_supp)
         if off.size and off.max() > 0.0:
             raise ValueError("direction is nonzero outside the base channel support")
         values, codes = np.unique(r, return_inverse=True)
@@ -181,7 +181,7 @@ def validate_against_joint(pert: Perturbation, joint_base: FiniteDist) -> None:
     """Check that the direction vanishes on zero-probability tuples."""
     joint = _canon(joint_base)
     tuple_p = joint.pmf.sum(axis=4)
-    off = np.abs(pert.r) * (tuple_p <= config.current().tol_supp)[..., None]
+    off = np.abs(pert.r) * (tuple_p <= config.CONFIG.tol_supp)[..., None]
     if off.size and off.max() > 0.0:
         raise ValueError("direction is nonzero on a zero-probability conditioning tuple")
 
@@ -308,7 +308,7 @@ class JointView:
         if isinstance(joint, JointView):
             return joint
         joint = _canon(joint)
-        tol = config.current().tol_supp
+        tol = config.CONFIG.tol_supp
         p5 = joint.pmf
         pv_uxy1 = conditional_table(joint, V, (U, X, Y1))
         pv_uy1 = conditional_table(joint, V, (U, Y1))
@@ -325,7 +325,7 @@ def _require_markov_joint(view: JointView) -> None:
     p(v | u, x, y1, yr) is p5 / p(u, x, y1, yr) on the supported tuples,
     the same sum and division as ``conditional_table``.
     """
-    tol = config.current().tol_supp
+    tol = config.CONFIG.tol_supp
     tuple_p = view.tuple_p[..., None]
     supported = tuple_p > tol
     pv_all = np.zeros_like(view.joint.pmf)
@@ -465,7 +465,7 @@ def _reconstruct_base(view: JointView) -> CodingDist:
     ux = marginalize(joint, (U, X))
     nu, nyr, nv = view.pv_uyr.shape  # zero rows where p(u,yr)=0
     rows = view.pv_uyr.reshape(nu * nyr, nv).copy()
-    empty = rows.sum(axis=1) <= config.current().tol_supp
+    empty = rows.sum(axis=1) <= config.CONFIG.tol_supp
     rows[empty, 0] = 1.0  # placeholder pmf on never-occurring (u, yr) pairs
     tensor = rows.reshape(nu, 1, 1, nyr, nv)
     nx = joint.alphabet(X).size
@@ -502,7 +502,7 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist | None =
     _require_markov_joint(view)
     if base is None:
         base = _reconstruct_base(view)
-    tol = config.current().tol_supp
+    tol = config.CONFIG.tol_supp
     tuple_p, l_uxy1, l_uy1, l_uyr = view.tuple_p, view.l_uxy1, view.l_uy1, view.l_uyr
     mk = markov_kernel(base)
     free5 = (tuple_p > tol)[..., None] & (mk[:, None, None, :, :] > tol)
@@ -620,7 +620,7 @@ def check_lambda(joint_base: FiniteDist | JointView,
     improving direction then exists). With ``best`` the least-deviation
     pair is returned even when it fails ``tol_dev``.
     """
-    tol_dev = config.current().tol_dev
+    tol_dev = config.CONFIG.tol_dev
     lam, dev = _min_deviation(*_alignment_rows(joint_base), stop=tol_dev)
     return (lam, dev) if best or dev <= tol_dev else None
 
@@ -676,16 +676,16 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     joint = build_joint(spec, cd)
     terms = rate_terms(joint, _PRECONDITION_TERMS)
     gap = terms["I(X;Y1,Yr|U)"] - terms["I(X;Y1,V|U)"]
-    strict = gap > config.current().tol_norm
+    strict = gap > config.CONFIG.tol_norm
     if not strict:
         return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
     view = JointView.of(joint)
     lam, dev = check_lambda(view, best=True)
-    if dev <= config.current().tol_dev:
+    if dev <= config.CONFIG.tol_dev:
         return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
     pert, t_star = find_direction(view, base=cd)
     f1p, f2p = f_primes(view, pert)
-    tol_lp = config.current().tol_lp
+    tol_lp = config.CONFIG.tol_lp
     if t_star > tol_lp and min(f1p, f2p) > tol_lp / 2.0:
         return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
     # Numerical gray zone: the LP found nothing usable, so report the least
@@ -840,7 +840,7 @@ def deterministic_reduction(joint_base: FiniteDist) -> ReductionResult:
     compression penalty inequality.
     """
     joint = _canon(joint_base)
-    tol = config.current().tol_supp
+    tol = config.CONFIG.tol_supp
     p5 = joint.pmf
     tuple_p = p5.sum(axis=4)
     pux = tuple_p.sum(axis=(2, 3))
@@ -905,7 +905,7 @@ def full_support_verdict(spec: RelayNetSpec, cd: CodingDist) -> ReductionVerdict
 
     Requires every broadcast transition probability to be positive.
     """
-    if float(spec.broadcast.rows.min()) <= config.current().tol_supp:
+    if float(spec.broadcast.rows.min()) <= config.CONFIG.tol_supp:
         flat = int(np.argmin(spec.broadcast.rows))
         row, col = (int(k) for k in np.unravel_index(flat, spec.broadcast.rows.shape))
         raise PreconditionError(

@@ -173,7 +173,7 @@ def _entropy_term_tables(mix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _scores(mix: np.ndarray, c0: float, term_sum: Callable[[int], np.ndarray],
-            ha: np.ndarray, hb: np.ndarray, usable: np.ndarray | bool = True) -> np.ndarray:
+            ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     """Objective 1 - H(Z|V) of row pairs (a, b), -inf where infeasible.
 
     ``mix`` is as in ``_entropy_term_tables``, and ``term_sum(t)`` returns a
@@ -183,16 +183,14 @@ def _scores(mix: np.ndarray, c0: float, term_sum: Callable[[int], np.ndarray],
     so s_V + m >= -(c0 + 1e-9) and 1 - (s_V - s_ZV) round as
     H(V) - m <= c0 + 1e-9 and 1 - (H(Z,V) - H(V)), where m mixes the rows'
     entropies ``ha`` and ``hb`` by p(yr); they broadcast to the scores'
-    shape. A pair is feasible when I(Yr;V) <= c0 up to a 1e-9 slack,
-    ``usable`` is True and neither row entropy is NaN (the refinement's
-    mark of a row off the simplex).
+    shape. A pair is feasible when I(Yr;V) <= c0 up to a 1e-9 slack and
+    neither row entropy is NaN (the refinement's mark of a row off the
+    simplex).
     """
     s_v = term_sum(0)
     m = mix[0, 0] * ha + mix[0, 1] * hb
     m += s_v
     feasible = m >= -(c0 + 1e-9)
-    if usable is not True:
-        feasible &= usable
     # +inf where feasible, -inf elsewhere, so a minimum masks without branches
     cap = m
     cap[...] = feasible
@@ -206,8 +204,7 @@ def _scores(mix: np.ndarray, c0: float, term_sum: Callable[[int], np.ndarray],
 
 
 def _pair_scores(mix: np.ndarray, c0: float, tables: np.ndarray, idx: np.ndarray,
-                 ha: np.ndarray, hb: np.ndarray,
-                 usable: np.ndarray | bool = True) -> np.ndarray:
+                 ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     """``_scores`` of pairs whose terms are gathered by index.
 
     ``tables[t]`` holds the terms of mix t along its first axis, and
@@ -224,7 +221,7 @@ def _pair_scores(mix: np.ndarray, c0: float, tables: np.ndarray, idx: np.ndarray
             acc += np.take(tables[t], iv, axis=0, mode="wrap", out=buf)
         return acc
 
-    return _scores(mix, c0, term_sum, ha, hb, usable)
+    return _scores(mix, c0, term_sum, ha, hb)
 
 
 def _grid_term_sum(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> Callable[[int], np.ndarray]:
@@ -433,7 +430,7 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
     mix = np.vstack([p_zyr.sum(axis=0), p_zyr])
 
-    rows, h_rows, level_idx = _scan_grid(grid_resolution, v_size, config.current().tol_supp)
+    rows, h_rows, level_idx = _scan_grid(grid_resolution, v_size, config.CONFIG.tol_supp)
     m = rows.shape[1]
     levels = np.arange(grid_resolution + 1) / grid_resolution
     # letter v of the pair of grid rows (i, j) is entry
@@ -623,7 +620,7 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     lost = p + q - p * q  # 1 - keep, without cancellation when keep rounds to 1
 
     constraints: list[tuple[float, float]] = []  # (intercept, slope) of residual(lam)
-    tol = config.current().tol_supp
+    tol = config.CONFIG.tol_supp
     for branch, ratio in ((1.0 - p, 1.0), (p, 0.5)):  # y1 = x, then y1 = e
         cell = 0.5 * (1.0 - p) * branch  # p(x, y1, yr = x), uniform x
         if cell * (1.0 - q) > tol and cell * q > tol:
@@ -647,7 +644,7 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
         for c, s in ((c1 - c2, s1 - s2), (c1 + c2, s1 + s2)):
             if s != 0.0:
                 cands.append(-c / s)
-    tol_dev = config.current().tol_dev
+    tol_dev = config.CONFIG.tol_dev
     ends = [lam for lam in (0.0, 1.0) if dev(lam) <= tol_dev]
     lam = ends[0] if ends else min((min(1.0, max(0.0, float(x))) for x in cands), key=dev)
     infeasible = dev(lam) > tol_dev

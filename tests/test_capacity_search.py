@@ -200,6 +200,10 @@ def _oracle_cases():
     # move budget rather than at a move that does not improve
     cases += [(0.0456, 0.1562, 0.6555, 20, 3, 8), (0.1094, 0.0505, 0.541, 20, 3, 8)]
     cases += [(0.27, 0.08, 0.12, 10, 3, 0)]  # no refinement: the trace is the grid's
+    # in the second window, some starts' best scoring candidate pairs take a
+    # letter below 0 (by 1/14 and by 0.1) and clip back onto the simplex, so
+    # only the refinement's off-simplex mask keeps them out
+    cases += [(0.036, 0.25, 0.744, 7, 3, 3), (0.22, 0.498, 0.858, 5, 3, 3)]
     cases += [(0.2, 0.1, 0.05, 7, 4, 3)]  # 125 x 125 offset pairs per start
     # |V| = 5: 625 x 625 offset pairs, so one start alone exceeds a chunk and
     # its row-0 offsets are scored in slices
@@ -262,18 +266,20 @@ def test_pair_scores_reject_off_simplex_pairs_even_when_best():
     # Pair 0 is on the simplex. Pair 1 is a clipped refinement candidate:
     # its offsets took a letter of each row below 0, so both rows sum to
     # 1.125. Unnormalised, it passes I(Yr;V) <= c0 and outscores pair 0.
+    # The refinement marks such rows with a NaN entropy, which scores -inf.
     pz, pw = np.array([0.9, 0.1]), np.array([0.8, 0.2])
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
     mix = np.vstack([p_zyr.sum(axis=0), p_zyr])
     raw_a = np.array([[0.5, 0.25, 0.25], [1.0, 0.125, -0.125]])
     raw_b = np.array([[0.25, 0.5, 0.25], [-0.125, 1.0, 0.125]])
-    usable = (raw_a >= -1e-15).all(axis=1) & (raw_b >= -1e-15).all(axis=1)
     a, b = np.clip(raw_a, 0.0, 1.0), np.clip(raw_b, 0.0, 1.0)
     tables = zoo._entropy_term_tables(mix, a, b)
     idx = np.arange(6).reshape(2, 3).T  # letter v of pair k is table entry 3 k + v
     ha, hb = entropy_letters_first(a.T), entropy_letters_first(b.T)
     unmasked = zoo._pair_scores(mix, 1.0, tables, idx, ha, hb)
     assert np.isfinite(unmasked).all() and unmasked[1] > unmasked[0]
-    masked = zoo._pair_scores(mix, 1.0, tables, idx, ha, hb, usable)
+    off = np.array([False, True])
+    masked = zoo._pair_scores(mix, 1.0, tables, idx,
+                              np.where(off, np.nan, ha), np.where(off, np.nan, hb))
     assert masked[0] == unmasked[0]
     assert masked[1] == -np.inf

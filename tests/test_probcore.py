@@ -271,7 +271,7 @@ def test_temporary_tolerances_hold_per_thread():
     def hold(tol_supp: float) -> None:
         with config.temporary_tolerances(tol_supp=tol_supp):
             all_open.wait()
-            seen[tol_supp] = {(config.current().tol_supp, cfdiamond.CONFIG.tol_supp,
+            seen[tol_supp] = {(config.CONFIG.tol_supp, cfdiamond.CONFIG.tol_supp,
                                float(probcore.entropy_terms(np.array([5e-4]))[0]))
                               for _ in range(200)}
             all_open.wait()
@@ -297,19 +297,19 @@ def test_set_tolerances_is_process_wide():
     try:
         config.set_tolerances(tol_dev=1e-5)
         seen = []
-        thread = threading.Thread(target=lambda: seen.append(config.current().tol_dev))
+        thread = threading.Thread(target=lambda: seen.append(config.CONFIG.tol_dev))
         thread.start()
         thread.join()
         assert seen == [1e-5]
         with config.temporary_tolerances(tol_lp=1e-6):
             # an open block starts from the config in effect and keeps it
-            assert (config.current().tol_dev, config.current().tol_lp) == (1e-5, 1e-6)
+            assert (config.CONFIG.tol_dev, config.CONFIG.tol_lp) == (1e-5, 1e-6)
             config.set_tolerances(tol_dev=1e-4)
-            assert config.current().tol_dev == 1e-5
-        assert config.current().tol_dev == 1e-4
+            assert config.CONFIG.tol_dev == 1e-5
+        assert config.CONFIG.tol_dev == 1e-4
     finally:
         config.CONFIG = before
-    assert config.current() is before
+    assert config.CONFIG is before
 
 
 @settings(max_examples=100, deadline=None)
