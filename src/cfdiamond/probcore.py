@@ -312,14 +312,14 @@ def _h_bits(p: np.ndarray) -> float:
 def entropy_terms(p: np.ndarray) -> np.ndarray:
     """Elementwise p log2 p, with entries at or below ``tol_supp`` as zeros.
 
-    The temporaries are one float array and one mask of the input's shape.
+    Those entries take the logarithm of 1.0, exactly 0, so the product
+    needs no mask. The temporaries are one float array and one mask of the
+    input's shape.
     """
     p = np.asarray(p, dtype=float)
-    supported = p > config.CONFIG.tol_supp
-    terms = np.where(supported, p, 1.0)
+    terms = np.where(p > config.CONFIG.tol_supp, p, 1.0)
     np.log2(terms, out=terms)
-    np.multiply(terms, p, out=terms, where=supported)
-    return terms
+    return np.multiply(terms, p, out=terms)
 
 
 def entropy_letters_first(p: np.ndarray) -> np.ndarray:

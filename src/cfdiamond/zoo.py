@@ -149,11 +149,14 @@ class CapacitySearchResult:
 #: groups of ``_RANKED_PAIRS // m`` first rows (of m grid rows), and the
 #: grouping decides which of equally good pairs seed the refinement. It
 #: scores a group in batches of at most ``_SCAN_ENTRIES // (3 |V|)`` row
-#: pairs, which bounds its memory; so does each refinement chunk.
+#: pairs, which bounds its memory at any resolution.
 _RANKED_PAIRS = 2_000_000
 _SCAN_ENTRIES = 1 << 18
-#: Refinement starts, and improving moves a start may make per window.
+#: Letters of V (for binary Yr, three suffice), refinement starts, halved
+#: windows per start, and improving moves a start may make per window.
+_V_SIZE = 3
 _N_STARTS = 24
+_N_WINDOWS = 8
 _MOVE_BUDGET = 40
 
 
@@ -243,7 +246,7 @@ def _grid_term_sum(tables: np.ndarray, a: np.ndarray, b: np.ndarray) -> Callable
 
 
 @functools.lru_cache(maxsize=8)
-def _scan_grid(grid_resolution: int, v_size: int, tol_supp: float):
+def _scan_grid(grid_resolution: int, tol_supp: float):
     """Grid rows of ``modadd_capacity``'s scan, letters first, with their
     entropies and level indices, as read-only arrays built once.
 
@@ -251,7 +254,7 @@ def _scan_grid(grid_resolution: int, v_size: int, tol_supp: float):
     ``level_idx[v, i]`` is the k of letter v of row i. ``tol_supp`` keys the
     cache, since the entropies read it.
     """
-    rows = _simplex_grid(v_size, grid_resolution).T.copy()
+    rows = _simplex_grid(_V_SIZE, grid_resolution).T.copy()
     grid = (rows, entropy_letters_first(rows), np.rint(rows * grid_resolution).astype(np.intp))
     for table in grid:
         table.setflags(write=False)
@@ -259,55 +262,48 @@ def _scan_grid(grid_resolution: int, v_size: int, tol_supp: float):
 
 
 @functools.lru_cache(maxsize=8)
-def _refine_moves(grid_resolution: int, v_size: int, refine_steps: int):
-    """Offsets, window sizes and index tables of ``modadd_capacity``'s
-    refinement.
+def _refine_moves(grid_resolution: int):
+    """Windows, offsets and index tables of ``modadd_capacity``'s refinement,
+    built once per resolution as read-only arrays.
 
     Offset o moves letter d < |V| - 1 of a row by one of five ticks times
-    the window and the last letter by minus their sum. So letter v of a
+    the window and the last letter by minus their sum. Letter v of a
     candidate row is the current letter plus one of that letter's distinct
-    offsets, its slots, and letter v of a candidate pair is one of the
-    slot pairs of letter v, its table entries. Slots and entries of every
-    letter are listed end to end. They depend only on the arguments, so
-    they are built once per argument triple, as read-only arrays in two
-    groups. Per window, on the last axis: the offsets ``offs`` (|V|,
-    offsets, windows) and the slots' offsets ``slot_offs`` (slots,
-    windows). Shared by every window and any number of starts:
-    ``slot_letter`` (the letter of each slot), ``slot_of[v, o]`` (the slot
-    of letter v of offset o), ``entries`` (2, entries; the slots of both
-    rows per entry), and ``entry0`` and ``entry1`` (|V|, offsets): letter v
-    of the pair of offsets (o0, o1) is entry entry0[v, o0] + entry1[v, o1].
+    offsets, its slots, and letter v of a candidate pair is one of the slot
+    pairs of letter v, its table entries; slots and entries of every letter
+    are listed end to end. Per window, on the last axis: the offsets
+    ``offs`` (|V|, offsets, windows) and the slots' offsets ``slot_offs``
+    (slots, windows). For every window and any number of starts:
+    ``slot_letter`` (each slot's letter), ``slot_of[v, o]`` (the slot of
+    letter v of offset o), ``entries`` (2, entries; both rows' slots per
+    entry) and ``pair_entries[v, o0, o1]`` (the entry of letter v of the
+    offset pair (o0, o1)).
     """
     ticks = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    unit = np.stack(np.meshgrid(*([ticks] * (v_size - 1)), indexing="ij"))
-    unit = unit.reshape(v_size - 1, -1)
-    n_offs = unit.shape[1]
-    windows = tuple(1.0 / grid_resolution / 2.0 ** k for k in range(refine_steps))
-    offs = np.empty((v_size, n_offs, len(windows)))
+    unit = np.stack(np.meshgrid(ticks, ticks, indexing="ij")).reshape(2, -1)  # letters 0, 1
+    windows = tuple(1.0 / grid_resolution / 2.0 ** k for k in range(_N_WINDOWS))
+    offs = np.empty((_V_SIZE, unit.shape[1], len(windows)))
     for w, window in enumerate(windows):
         head = unit * window
         offs[:, :, w] = np.vstack([head, -head.sum(axis=0)])
     # offsets count as distinct when they differ in some window
-    slot_offs, slot_letter, slot_of, entries, entry0, entry1 = [], [], [], [], [], []
+    slot_offs, slot_letter, slot_of, entries, pair_entries = [], [], [], [], []
     n_slots = n_entries = 0
-    for v in range(v_size):
+    for v in range(_V_SIZE):
         _, first, inv = np.unique(offs[v], axis=0, return_index=True, return_inverse=True)
         inv, n = inv.ravel(), first.size
         slot_offs.append(offs[v, first])
         slot_letter += [v] * n
         slot_of.append(n_slots + inv)
         entries += [(n_slots + a, n_slots + b) for a in range(n) for b in range(n)]
-        entry0.append(n_entries + inv * n)
-        entry1.append(inv)
+        pair_entries.append(n_entries + inv[:, None] * n + inv)
         n_slots += n
         n_entries += n * n
-    tables = ((offs, np.vstack(slot_offs)),
-              (np.array(slot_letter), np.stack(slot_of), np.array(entries).T,
-               np.stack(entry0), np.stack(entry1)))
-    for group in tables:
-        for table in group:
-            table.setflags(write=False)
-    return n_offs, windows, tables
+    tables = (offs, np.vstack(slot_offs), np.array(slot_letter), np.stack(slot_of),
+              np.array(entries).T, np.stack(pair_entries))
+    for table in tables:
+        table.setflags(write=False)
+    return windows, tables
 
 
 def _refine(mix: np.ndarray, c0: float, current: np.ndarray, vals: np.ndarray,
@@ -316,7 +312,7 @@ def _refine(mix: np.ndarray, c0: float, current: np.ndarray, vals: np.ndarray,
 
     ``current[:, :, s]`` holds the rows (2, |V|) of start s and ``vals[s]``
     its value; both are updated in place. ``moves`` is ``_refine_moves``'s
-    result for the search sizes. Each start takes the first best
+    result for the search's resolution. Each start takes the first best
     pair of its move's grid in row-major order, and ends a window at its
     first move that does not improve, or after ``_MOVE_BUDGET`` moves that
     do. A pass moves every start that has windows left, each in its own
@@ -324,23 +320,19 @@ def _refine(mix: np.ndarray, c0: float, current: np.ndarray, vals: np.ndarray,
 
     A pass tabulates, per start, the p log2 p terms of the rows' letters
     over their slots, giving the candidate rows' entropies, and those of
-    H(V) and both H(Z, V) over the slot pairs, which ``_pair_scores``
-    gathers; the starts are on the last axis, so one index table serves
-    any number of them. A row off the simplex gets a NaN entropy, so its
-    pairs are infeasible; rows that leave the simplex for every start of a
-    chunk are not paired at all. The centre offset (the current pair) is
-    always on the simplex. Pairs are scored in chunks of whole starts, or
-    of one start's rows of row 0 when a start alone is too large, at most
-    ``_SCAN_ENTRIES // (3 |V|)`` pairs at a time.
+    H(V) and both H(Z, V) over the slot pairs. One ``_pair_scores`` call
+    then scores every offset pair of every start, at most 24 x 25 x 25
+    pairs; the starts are on the last axis, so one index table serves any
+    number of them. A row off the simplex gets a NaN entropy, so its pairs
+    score -inf. The centre offset (the current pair) is always on the
+    simplex and feasible.
     """
-    v_size, n_starts = current.shape[1:]
-    n_offs, windows, ((offs, slot_offs), (slot_letter, slot_of, entries, entry0, entry1)) = moves
-    start_chunk = max(1, _SCAN_ENTRIES // (3 * n_offs * n_offs * v_size))
-    offs_chunk = min(n_offs, max(1, _SCAN_ENTRIES // (3 * n_offs * v_size)))
+    windows, (offs, slot_offs, slot_letter, slot_of, entries, pair_entries) = moves
+    n_starts = current.shape[2]
     window_vals = np.empty((n_starts, len(windows)))
     win = np.zeros(n_starts, dtype=np.intp)  # each start's window
     used = np.zeros(n_starts, dtype=np.intp)  # its improving moves in that window
-    active = np.arange(n_starts if windows else 0)
+    active = np.arange(n_starts)
     while active.size:
         cur = current[:, :, active]
         w = win[active]
@@ -357,33 +349,18 @@ def _refine(mix: np.ndarray, c0: float, current: np.ndarray, vals: np.ndarray,
         # entries x starts, flattened, so the mixing runs as whole-array passes
         tables = _entropy_term_tables(mix, slots[0, entries[0]].ravel(),
                                       slots[1, entries[1]].ravel())
-        tables = tables.reshape(3, -1, active.size)
-        # each start's first best pair in row-major order: the first
-        # maximum of its flattened scores, taken over chunks in order; rows
-        # left out score -inf, as their pairs would
-        best = np.full(active.size, -np.inf)
-        pair = np.zeros((2, active.size), dtype=np.intp)
-        for s in range(0, active.size, start_chunk):
-            t = min(active.size, s + start_chunk)
-            on = ~np.isnan(h[:, :, s:t]).all(axis=2)
-            rows0, rows1 = np.flatnonzero(on[0]), np.flatnonzero(on[1])
-            col = entry1[:, None, rows1]
-            for r in range(0, rows0.size, offs_chunk):
-                r0 = rows0[r:r + offs_chunk]
-                obj = _pair_scores(mix, c0, tables[:, :, s:t], entry0[:, r0, None] + col,
-                                   h[0, r0, None, s:t], h[1, rows1, s:t])
-                obj = obj.reshape(-1, t - s).T
-                first = obj.argmax(axis=1)
-                val = obj[np.arange(t - s), first]
-                gain = np.flatnonzero(val > best[s:t])
-                best[s + gain] = val[gain]
-                i, j = np.divmod(first[gain], rows1.size)
-                pair[:, s + gain] = r0[i], rows1[j]
+        obj = _pair_scores(mix, c0, tables.reshape(3, -1, active.size), pair_entries,
+                           h[0, :, None], h[1, None])
+        # each start's first best pair in row-major order
+        obj = obj.reshape(-1, active.size).T
+        first = obj.argmax(axis=1)
+        best = obj[np.arange(active.size), first]
         better = best > vals[active] + 1e-15
         moved = np.flatnonzero(better)
         s_moved = active[moved]
         vals[s_moved] = best[moved]
-        rows = cur[:, :, moved] + offs[:, pair[:, moved], w[moved]].swapaxes(0, 1)
+        pair = np.array(np.divmod(first[moved], offs.shape[1]))
+        rows = cur[:, :, moved] + offs[:, pair, w[moved]].swapaxes(0, 1)
         current[:, :, s_moved] = np.clip(rows, 0.0, 1.0, out=rows)
         used[s_moved] += 1
         ended = active[~better | (used[active] == _MOVE_BUDGET)]
@@ -394,15 +371,14 @@ def _refine(mix: np.ndarray, c0: float, current: np.ndarray, vals: np.ndarray,
     return window_vals
 
 
-def modadd_capacity(params: ModAddParams, grid_resolution: int,
-                    v_size: int = 3, refine_steps: int = 8) -> CapacitySearchResult:
+def modadd_capacity(params: ModAddParams, grid_resolution: int) -> CapacitySearchResult:
     """Search max 1 - H(Z|V) over p(v | yr) subject to I(Yr;V) <= c0.
 
     Global simplex-grid scan at ``grid_resolution`` followed by local
     joint-grid refinement with window halving from the best grid pairs.
     Points violating the information constraint (beyond a 1e-9 slack) are
-    discarded, not penalized. The default |V| = 3 gives the relay output
-    alphabet one spare letter; the result is reported as a lower bound.
+    discarded, not penalized. V has three letters, which suffice for
+    binary Yr; the result is reported as a lower bound.
 
     Each entropy of a row pair is a sum over letters of p log2 p, where p
     mixes letter v of both rows, and a letter takes few distinct values
@@ -412,25 +388,19 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     of H(V) and of both H(Z, V) over those values, then scores every pair
     by adding its letters' terms in letter order; infeasible pairs score
     -inf. The grid pmfs are stored letters first, shape (|V|, ...). The 24
-    best grid pairs each refine through their own windows (``_refine``).
-    The scan scores at most ``_SCAN_ENTRIES // (3 |V|)`` pairs at a time,
-    and so does the refinement, so memory stays bounded at any resolution
-    and any |V|. The grid, the offsets and their index tables depend only
-    on the search sizes and are built once per size.
+    best grid pairs each refine through eight halving windows of their own
+    (``_refine``). The grid, the offsets and their index tables are built
+    once per resolution.
     """
     if grid_resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    if v_size < 2:
-        raise ValueError(f"v_size must be at least 2, got {v_size}")
-    if refine_steps < 0:
-        raise ValueError(f"refine_steps must be nonnegative, got {refine_steps}")
     p, delta, c0 = params.p, params.delta, params.c0
     pz = np.array([1.0 - p, p])
     pw = np.array([1.0 - delta, delta])
     p_zyr = np.array([[pz[z] * pw[z ^ yr] for yr in range(2)] for z in range(2)])
     mix = np.vstack([p_zyr.sum(axis=0), p_zyr])
 
-    rows, h_rows, level_idx = _scan_grid(grid_resolution, v_size, config.CONFIG.tol_supp)
+    rows, h_rows, level_idx = _scan_grid(grid_resolution, config.CONFIG.tol_supp)
     m = rows.shape[1]
     levels = np.arange(grid_resolution + 1) / grid_resolution
     # letter v of the pair of grid rows (i, j) is entry
@@ -439,7 +409,7 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     tables = tables.reshape(3, levels.size, levels.size)
     candidates: list[tuple[float, int, int]] = []
     group = max(1, _RANKED_PAIRS // m)
-    batch = max(1, _SCAN_ENTRIES // (3 * m * v_size))
+    batch = max(1, _SCAN_ENTRIES // (3 * m * _V_SIZE))
     for start in range(0, m, group):
         stop = min(m, start + group)
         obj = np.empty((stop - start, m))
@@ -467,13 +437,13 @@ def modadd_capacity(params: ModAddParams, grid_resolution: int,
     starts = candidates[:_N_STARTS]
     vals = np.array([val for val, _, _ in starts])
     current = np.stack([rows[:, [i for _, i, _ in starts]], rows[:, [j for _, _, j in starts]]])
-    moves = _refine_moves(grid_resolution, v_size, refine_steps)
+    moves = _refine_moves(grid_resolution)
     window_vals = _refine(mix, c0, current, vals, moves)
 
     best_start = int(np.argmax(vals))  # the first best, as a strict > over the starts
     trace = [(f"grid/{grid_resolution}", grid_best)]
     trace += [(f"refine/{window / 2.0:.3e}", float(v))
-              for window, v in zip(moves[1], window_vals[best_start])]
+              for window, v in zip(moves[0], window_vals[best_start])]
     return CapacitySearchResult(float(vals[best_start]), current[:, :, best_start].copy(),
                                 tuple(trace))
 
@@ -532,6 +502,14 @@ def bec_coding_dist(p: float, q: float) -> CodingDist:
     return CodingDist(ux, vk, markov_form=True)
 
 
+def _bec_bounds(p: float, q: float, c0: float) -> tuple[float, float]:
+    """The two bounds whose minimum is ``bec_rate``."""
+    first = (1.0 - p) * (1.0 + p * (1.0 - q))
+    second = (1.0 - p - binary_entropy((1.0 - p) * (1.0 - q))
+              + (1.0 - p) * binary_entropy(q) + c0)
+    return first, second
+
+
 def bec_rate(p: float, q: float, c0: float) -> float:
     """Closed-form no-cooperation rate of the re-erasure strategy."""
     for name, val in (("p", p), ("q", q)):
@@ -539,43 +517,34 @@ def bec_rate(p: float, q: float, c0: float) -> float:
             raise SchemaError(f"{name} must lie in [0, 1], got {val}")
     if not (np.isfinite(c0) and c0 >= 0.0):
         raise SchemaError(f"c0 must be a nonnegative real, got {c0}")
-    first = (1.0 - p) * (1.0 + p * (1.0 - q))
-    second = (1.0 - p - binary_entropy((1.0 - p) * (1.0 - q))
-              + (1.0 - p) * binary_entropy(q) + c0)
-    return min(first, second)
+    return min(_bec_bounds(p, q, c0))
 
 
 def bec_best_q(p: float, c0: float) -> tuple[float, float]:
-    """Maximize the closed-form rate over q by golden-section search.
+    """Maximize the closed-form rate over q exactly.
 
-    Endpoints q = 0 and q = 1 are always included as candidates, and a
-    coarse seeding grid guards against non-unimodal corners.
+    The first bound falls in q and the second rises (its slope is
+    (1-p) log2((1-k)(1-q) / (kq)) >= 0 with k = (1-p)(1-q)), so the rate,
+    their minimum, peaks where they cross: at q = 0 when the first is the
+    smaller there already, at q = 1 when the second still is, and otherwise
+    at the root of their difference, bisected down to adjacent floats, of
+    which the better is taken.
     """
-    def f(q: float) -> float:
-        return bec_rate(p, q, c0)
+    def gap(q: float) -> float:
+        first, second = _bec_bounds(p, q, c0)
+        return first - second
 
-    grid = np.linspace(0.0, 1.0, 33)
-    vals = [f(q) for q in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    candidates = [0.0, 1.0, (a + b) / 2.0, grid[k]]
-    best_q = max(candidates, key=f)
-    return float(best_q), float(f(best_q))
+    lo, hi = 0.0, 1.0  # the peak lies in [lo, hi]
+    bec_rate(p, lo, c0)  # rejects a bad p or c0 before the search
+    if gap(lo) <= 0.0:
+        hi = lo
+    elif gap(hi) >= 0.0:
+        lo = hi
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        g = gap(mid)
+        lo, hi = (mid, mid) if g == 0.0 else (mid, hi) if g > 0.0 else (lo, mid)
+    q = max((lo, hi), key=lambda x: bec_rate(p, x, c0))
+    return q, bec_rate(p, q, c0)
 
 
 @dataclass(frozen=True)

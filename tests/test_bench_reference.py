@@ -1,5 +1,5 @@
-"""The benchmark's seed-0 ``capacity`` and ``sweep`` workloads reproduce
-``bench/reference.json``.
+"""The benchmark's seed-0 ``capacity``, ``sweep`` and ``cli`` workloads
+reproduce ``bench/reference.json``.
 
 A benchmark run at the reference seed fails when an op's value drifts from
 the recorded one by more than ``VALUE_TOL``. Running every distinct op of
@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 
 import numpy as np
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def load_workloads():
@@ -27,12 +29,23 @@ def load_workloads():
     return module
 
 
-def run_against_reference(name: str) -> None:
+def same(value, want, tol: float) -> bool:
+    """Equal values, with numbers (or arrays of them) within ``tol``; the CLI
+    ops' values are dicts of numbers and verdict strings."""
+    if isinstance(value, dict) and isinstance(want, dict):
+        return value.keys() == want.keys() and all(same(value[k], want[k], tol) for k in value)
+    if isinstance(value, (dict, str)) or isinstance(want, (dict, str)):
+        return value == want
+    return np.allclose(value, want, rtol=0.0, atol=tol)
+
+
+def run_against_reference(name: str, root: str = "") -> None:
     """Run each distinct op of the seed-0 workload once, with its own check,
-    and compare every value that has a recorded reference at ``VALUE_TOL``."""
+    and compare every value that has a recorded reference at ``VALUE_TOL``.
+    ``root`` is where the workload writes its input files."""
     workloads = load_workloads()
     reference = json.loads((BENCH / "reference.json").read_text())[name]
-    wl = workloads.build(name, workloads.REFERENCE_SEED, "")
+    wl = workloads.build(name, workloads.REFERENCE_SEED, root)
     values, failures = {}, []
     try:
         for op in wl.ops():  # ``build`` makes every label distinct
@@ -40,8 +53,8 @@ def run_against_reference(name: str) -> None:
             reason = op.check(out)
             value = values[op.label] = op.ref(out)
             want = reference.get(op.label)
-            if reason is None and want is not None and not np.allclose(
-                    value, want, rtol=0.0, atol=workloads.VALUE_TOL):
+            if reason is None and want is not None and not same(value, want,
+                                                                workloads.VALUE_TOL):
                 reason = f"{value!r} differs from the reference {want!r}"
             if reason is not None:
                 failures.append(f"{op.label}: {reason}")
@@ -57,3 +70,11 @@ def test_capacity_workload_matches_bench_reference():
 
 def test_sweep_workload_matches_bench_reference():
     run_against_reference("sweep")
+
+
+def test_cli_workload_matches_bench_reference(tmp_path, monkeypatch):
+    # each op is a cold ``python -m cfdiamond.cli`` process, which imports
+    # the package from this checkout
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    run_against_reference("cli", str(tmp_path))

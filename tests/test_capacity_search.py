@@ -192,30 +192,31 @@ def _oracle_cases():
     for n in range(30):
         p, delta = rng.uniform(0.01, 0.49, size=2)
         c0 = rng.uniform(0.0, 0.6)
-        cases.append((float(p), float(delta), float(c0), (7, 10, 20)[n % 3], 3, 8))
+        cases.append((float(p), float(delta), float(c0), (7, 10, 20)[n % 3]))
     # c0 = 0: every kernel with two equal rows scores the same, so many
     # pairs tie; at resolution 53 the scan ranks two groups of rows
-    cases += [(0.11, 0.2, 0.0, r, 3, 8) for r in (7, 10, 20, 33, 53)]
+    cases += [(0.11, 0.2, 0.0, r) for r in (7, 10, 20, 33, 53)]
     # starts that spend all 40 moves of a window, so the window ends at the
     # move budget rather than at a move that does not improve
-    cases += [(0.0456, 0.1562, 0.6555, 20, 3, 8), (0.1094, 0.0505, 0.541, 20, 3, 8)]
-    cases += [(0.27, 0.08, 0.12, 10, 3, 0)]  # no refinement: the trace is the grid's
-    # in the second window, some starts' best scoring candidate pairs take a
-    # letter below 0 (by 1/14 and by 0.1) and clip back onto the simplex, so
-    # only the refinement's off-simplex mask keeps them out
-    cases += [(0.036, 0.25, 0.744, 7, 3, 3), (0.22, 0.498, 0.858, 5, 3, 3)]
-    cases += [(0.2, 0.1, 0.05, 7, 4, 3)]  # 125 x 125 offset pairs per start
-    # |V| = 5: 625 x 625 offset pairs, so one start alone exceeds a chunk and
-    # its row-0 offsets are scored in slices
-    cases += [(0.2, 0.1, 0.05, 4, 5, 2), (0.1, 0.3, 0.0, 4, 5, 2)]
+    cases += [(0.0456, 0.1562, 0.6555, 20), (0.1094, 0.0505, 0.541, 20)]
+    # some starts' best scoring candidate pairs take a letter below 0 and
+    # clip back onto the simplex, so only the refinement's off-simplex mask
+    # keeps them out; without it, the third search ends at
+    # 0x1.cfec0d958a638p-2 instead of 0x1.cfec0d958a63cp-2
+    cases += [(0.036, 0.25, 0.744, 7), (0.22, 0.498, 0.858, 5),
+              (0.2945085979772056, 0.1466803576004299, 0.8860299564440467, 6)]
     return cases
 
 
-@pytest.mark.parametrize("p, delta, c0, resolution, v_size, steps", _oracle_cases())
-def test_modadd_capacity_matches_one_start_at_a_time(p, delta, c0, resolution, v_size, steps):
+# the ids end in the search's |V| and window count, as when both were
+# arguments, so a case keeps its name across those versions
+@pytest.mark.parametrize("p, delta, c0, resolution", [
+    pytest.param(*case, id="-".join(map(str, (*case, zoo._V_SIZE, zoo._N_WINDOWS))))
+    for case in _oracle_cases()])
+def test_modadd_capacity_matches_one_start_at_a_time(p, delta, c0, resolution):
     params = ModAddParams(p, delta, c0)
-    want = reference_modadd_capacity(params, resolution, v_size, steps)
-    got = modadd_capacity(params, resolution, v_size, steps)
+    want = reference_modadd_capacity(params, resolution)
+    got = modadd_capacity(params, resolution)
     assert got.value == want.value
     assert got.kernel.tobytes() == want.kernel.tobytes()
     assert got.trace == want.trace
@@ -223,13 +224,13 @@ def test_modadd_capacity_matches_one_start_at_a_time(p, delta, c0, resolution, v
 
 @pytest.mark.parametrize("entries", [20_000, 1_000])
 def test_modadd_capacity_chunking_leaves_output_unchanged(monkeypatch, entries):
-    # 20,000 entries score three of the 24 starts per chunk, 1,000 score four
-    # offsets of one start's row 0 per chunk (and three scan rows per batch)
+    # the resolution-10 scan has 66 rows: 20,000 entries score 33 first rows
+    # per batch (two batches), 1,000 entries one (66 batches)
     monkeypatch.setattr(zoo, "_SCAN_ENTRIES", entries)
     for p, delta, c0 in [(0.1, 0.1, 0.3), (0.11, 0.2, 0.0), (0.27, 0.08, 0.12)]:
         params = ModAddParams(p, delta, c0)
-        want = reference_modadd_capacity(params, 7)
-        got = modadd_capacity(params, 7)
+        want = reference_modadd_capacity(params, 10)
+        got = modadd_capacity(params, 10)
         assert (got.value, got.kernel.tobytes(), got.trace) == (
             want.value, want.kernel.tobytes(), want.trace)
 
@@ -238,14 +239,9 @@ def test_modadd_capacity_memory_no_higher_than_unbatched():
     params = ModAddParams(0.1, 0.1, 0.3)
     # scoring all three entropies of every pair in the scan peaked at 5.59 MB
     assert peak_bytes(lambda: modadd_capacity(params, 20)) < 6.0e6
-    # |V| = 4: refining one start at a time peaked at 3.41 MB; a start scores
-    # 15,625 pairs per move, and all 24 starts in one pass peaked at 47.6 MB
-    assert peak_bytes(lambda: modadd_capacity(params, 7, v_size=4, refine_steps=2)) < 3.0e6
 
 
-@pytest.mark.parametrize("kwargs, name", [({"grid_resolution": 1}, "grid resolution"),
-                                          ({"v_size": 1}, "v_size"), ({"v_size": 0}, "v_size"),
-                                          ({"refine_steps": -1}, "refine_steps")])
+@pytest.mark.parametrize("kwargs, name", [({"grid_resolution": 1}, "grid resolution")])
 def test_modadd_capacity_rejects_bad_search_sizes(kwargs, name):
     with pytest.raises(ValueError, match=name):
         modadd_capacity(ModAddParams(0.1, 0.1, 0.3), **{"grid_resolution": 7, **kwargs})
@@ -253,11 +249,11 @@ def test_modadd_capacity_rejects_bad_search_sizes(kwargs, name):
 
 def test_refinement_tables_are_built_once_and_read_only():
     params = ModAddParams(0.1, 0.1, 0.3)
-    first = modadd_capacity(params, 7, refine_steps=3)
-    tables = zoo._refine_moves(7, 3, 3)
-    assert zoo._refine_moves(7, 3, 3) is tables
-    assert not any(t.flags.writeable for move in tables[2] for t in move)
-    again = modadd_capacity(params, 7, refine_steps=3)
+    first = modadd_capacity(params, 7)
+    moves = zoo._refine_moves(7)
+    assert zoo._refine_moves(7) is moves
+    assert not any(t.flags.writeable for t in moves[1])
+    again = modadd_capacity(params, 7)
     assert (again.value, again.kernel.tobytes(), again.trace) == \
         (first.value, first.kernel.tobytes(), first.trace)
 

@@ -114,6 +114,11 @@ def test_entropy_terms_are_zero_at_and_below_tol_supp():
     with config.temporary_tolerances(tol_supp=0.1):
         terms = entropy_terms(p)
     assert terms.tobytes() == np.array([0.0, 0.0, 0.0, 0.2 * np.log2(0.2), 0.0]).tobytes()
+    # the unmasked product leaves +0.0, never -0.0, at 0, at or below
+    # tol_supp and at 1
+    tol = config.CONFIG.tol_supp
+    terms = entropy_terms(np.array([0.0, tol / 2, tol, 1.0]))
+    assert terms.tobytes() == np.zeros(4).tobytes()
 
 
 def test_mac_capacity_goldens_stay_exact():

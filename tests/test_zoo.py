@@ -152,6 +152,16 @@ def test_bec_best_q_includes_endpoints():
     assert rm >= max(bec_rate(0.5, 0.0, 0.25), bec_rate(0.5, 1.0, 0.25)) - 1e-12
 
 
+def test_bec_best_q_is_exact():
+    # at c0 = 0 the two bounds meet at q = 1, both at 1 - p; a grid plus
+    # golden-section search stopped 2e-12 short of it
+    assert bec_best_q(0.5, 0.0) == (1.0, 0.5)
+    for p, c0 in [(0.4221, 0.2533), (0.2, 0.1), (0.8, 0.4)]:
+        q, rate = bec_best_q(p, c0)
+        assert 0.0 < q < 1.0 and rate == bec_rate(p, q, c0)
+        assert rate >= max(bec_rate(p, x, c0) for x in np.linspace(0.0, 1.0, 1001)) - 1e-15
+
+
 def test_bec_lambda_interior_infeasible():
     for p in (0.2, 0.5, 0.8):
         for q in (0.3, 0.5, 0.9):
