@@ -58,7 +58,6 @@ from .slope import (
 )
 from .zoo import (
     BecLambdaCheck,
-    BecParams,
     CapacitySearchResult,
     ModAddParams,
     bec_best_q,

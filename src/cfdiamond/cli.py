@@ -35,8 +35,6 @@ from .probcore import InfeasibleError, PreconditionError, SchemaError
 from .relaynet import CodingDist, RelayNetSpec, eval_cf_rate, eval_pdcf
 from .slope import (
     VERDICT_CERTIFIED,
-    default_schedule,
-    alpha_max,
     full_support_verdict,
     infinite_slope_verdict,
     slope_curve,
@@ -156,8 +154,7 @@ def _sweep_curve(args: argparse.Namespace) -> Output:
     verdict = infinite_slope_verdict(spec, cd)
     if verdict.verdict != VERDICT_CERTIFIED or verdict.direction is None:
         raise InfeasibleError(f"no certified direction to sweep (verdict {verdict.verdict})")
-    schedule = args.alpha_schedule or default_schedule(alpha_max(cd, verdict.direction))
-    curve = slope_curve(spec, cd, verdict.direction, schedule)
+    curve = slope_curve(spec, cd, verdict.direction, args.alpha_schedule)
     return {"verdict": verdict.verdict, "curve": curve.to_json_dict()}, curve.to_csv()
 
 

@@ -14,6 +14,7 @@ by half that curve pointwise and flags a diverging benefit at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -183,8 +184,8 @@ class CoopCurve:
     """Sampled cooperative MAC sum-capacity curve (c_cf, c_sum).
 
     Values are supplied externally; nothing here computes them. Samples
-    must be sorted with strictly increasing c_cf >= 0 and non-decreasing
-    c_sum.
+    must be finite and sorted with strictly increasing c_cf >= 0 and
+    non-decreasing c_sum.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -193,6 +194,9 @@ class CoopCurve:
         samples = tuple((float(c), float(s)) for c, s in self.samples)
         if len(samples) < 2:
             raise SchemaError("curve needs at least two samples")
+        for k, (c, s) in enumerate(samples):
+            if not (math.isfinite(c) and math.isfinite(s)):
+                raise SchemaError(f"curve sample {k} (c_cf={c!r}, c_sum={s!r}) is not finite")
         cs = [c for c, _ in samples]
         ss = [s for _, s in samples]
         if any(c < 0.0 for c in cs):

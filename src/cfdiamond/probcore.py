@@ -66,8 +66,9 @@ class Alphabet:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise SchemaError("alphabet name must be a non-empty string")
-        if not isinstance(self.size, int) or self.size < 1:
-            raise SchemaError(f"alphabet {self.name!r} size must be a positive integer")
+        if isinstance(self.size, bool) or not isinstance(self.size, int) or self.size < 1:
+            raise SchemaError(
+                f"alphabet {self.name!r} size must be a positive integer, got {self.size!r}")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != self.size:
@@ -85,8 +86,11 @@ class Alphabet:
         if not isinstance(obj, dict) or "name" not in obj or "size" not in obj:
             raise SchemaError(f"malformed alphabet entry: {obj!r}")
         labels = obj.get("labels")
-        return Alphabet(str(obj["name"]), int(obj["size"]),
-                        tuple(labels) if labels is not None else None)
+        if labels is not None and not (isinstance(labels, list)
+                                       and all(isinstance(s, str) for s in labels)):
+            raise SchemaError(f"alphabet {obj['name']!r} labels must be a list of strings, "
+                              f"got {labels!r}")
+        return Alphabet(obj["name"], obj["size"], tuple(labels) if labels is not None else None)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -75,6 +75,13 @@ NO_V_TERMS = TERM_NAMES[:4]
 BOUND_V_TERMS = TERM_NAMES[4:8]
 
 
+def _json_real(value: Any, field: str) -> float:
+    """A JSON number, which excludes booleans and strings, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RelayNetSpec:
     """Broadcast channel plus the two bit-pipe capacities (bits/use)."""
@@ -119,8 +126,8 @@ class RelayNetSpec:
             Alphabet.from_json_dict(obj["y1_alphabet"]),
             Alphabet.from_json_dict(obj["yr_alphabet"]),
             CondKernel.from_json_dict(obj["broadcast"]),
-            float(obj["c0"]),
-            float(obj.get("c_cf", 0.0)),
+            _json_real(obj["c0"], "c0"),
+            _json_real(obj.get("c_cf", 0.0), "c_cf"),
         )
 
 
@@ -158,16 +165,8 @@ class CodingDist:
                     f"markov_form set but kernel varies with (x, y1) by {dev}")
 
     @property
-    def u_alphabet(self) -> Alphabet:
-        return self.ux.variables[0]
-
-    @property
     def x_alphabet(self) -> Alphabet:
         return self.ux.variables[1]
-
-    @property
-    def v_alphabet(self) -> Alphabet:
-        return self.v_kernel.to_vars[0]
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"ux": self.ux.to_json_dict(),
@@ -178,9 +177,11 @@ class CodingDist:
     def from_json_dict(obj: Any) -> "CodingDist":
         if not isinstance(obj, dict) or not {"ux", "v_kernel", "markov_form"} <= set(obj):
             raise SchemaError("coding JSON needs 'ux', 'v_kernel' and 'markov_form'")
+        if not isinstance(obj["markov_form"], bool):
+            raise SchemaError(f"markov_form must be true or false, got {obj['markov_form']!r}")
         return CodingDist(FiniteDist.from_json_dict(obj["ux"]),
                           CondKernel.from_json_dict(obj["v_kernel"]),
-                          bool(obj["markov_form"]))
+                          obj["markov_form"])
 
 
 def markov_kernel(cd: CodingDist) -> np.ndarray:
@@ -259,12 +260,21 @@ def eval_cf_rate(spec: RelayNetSpec, cd: CodingDist) -> RateReport:
     return RateReport(bound1, bound2, cf_required, feasible, achievable, terms)
 
 
+#: The rate terms ``eval_pdcf`` reads.
+_PDCF_TERMS = ("I(U;Yr)", "I(U;Y1)", "I(X;Y1|U)", "I(X;Y1,V|U)", "I(Yr;V|U,X,Y1)")
+#: The rate terms ``pdcf_reduction_residuals`` reads.
+_RESIDUAL_TERMS = ("I(X;Y1,Yr|U)", "I(X;Y1,V|U)", "I(V;X,Y1|U)", "I(Yr;V|U)",
+                   "I(Yr;V|U,X,Y1)")
+
+
 def eval_pdcf(spec: RelayNetSpec, cd: CodingDist) -> float:
-    """Classical PD/CF rate (no cooperation) at a Markov-form distribution."""
+    """Classical PD/CF rate (no cooperation) at a Markov-form distribution.
+
+    Only the five terms the two bounds read are evaluated.
+    """
     if not cd.markov_form:
         raise PreconditionError("PD/CF evaluation requires a Markov-form coding distribution")
-    joint = build_joint(spec, cd)
-    t = mi_terms(joint)
+    t = rate_terms(build_joint(spec, cd), _PDCF_TERMS)
     first = t["I(U;Yr)"] + t["I(X;Y1,V|U)"]
     second = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
               + spec.c0 - t["I(Yr;V|U,X,Y1)"])
@@ -280,10 +290,10 @@ def pdcf_reduction_residuals(spec: RelayNetSpec, cd: CodingDist) -> tuple[float,
 
     Both vanish (within tolerance) in Markov form. The function also accepts
     non-Markov distributions so callers can observe the residuals break; it
-    reports, it never asserts.
+    reports, it never asserts. Only the five terms the residuals read are
+    evaluated.
     """
-    joint = build_joint(spec, cd)
-    t = mi_terms(joint)
+    t = rate_terms(build_joint(spec, cd), _RESIDUAL_TERMS)
     first = abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"])
     second = abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"]))
     return first, second

@@ -59,7 +59,6 @@ from .probcore import (
     PreconditionError,
     conditional_table,
     compose,
-    marginalize,
     mutual_information,
     reorder,
 )
@@ -283,24 +282,26 @@ def _canon(joint: FiniteDist) -> FiniteDist:
 
 @dataclass(frozen=True, eq=False)
 class JointView:
-    """A canonical-order joint with the tables the verdict steps read.
+    """A canonical-order joint with the tables every certification step reads.
 
-    ``tuple_p`` is p(u, x, y1, yr), ``supp5`` the support of the joint,
-    ``pv_uyr`` the table p(v | u, yr), and ``l_uxy1``, ``l_uy1``,
-    ``l_uyr`` the log2 tables of p(v | u, x, y1), p(v | u, y1) and
-    p(v | u, yr), zero off their support. ``check_lambda``,
-    ``find_direction`` and ``f_primes`` accept a view in place of a joint,
-    so a caller that runs several of them on one joint builds the tables
-    once.
+    ``tuple_p`` is p(u, x, y1, yr), ``supp5`` the support of the joint and
+    ``pv_uyr`` the table p(v | u, yr). With l(v | .) the log2 of p(v | .),
+    zero off its support, ``g1`` = l(v|u,x,y1) - l(v|u,y1) has shape
+    (U, X, Y1, 1, V), ``g2`` = l(v|u,x,y1) - l(v|u,yr) shape (U, X, Y1, Yr, V)
+    and ``drift`` = l(v|u,yr) - l(v|u,y1) shape (U, 1, Y1, Yr, V). f1'(0)
+    and f2'(0) weight g1 and g2 by p(tuple) r, and the alignment deviation
+    at lambda is g2 + lambda * drift. ``check_lambda``, ``find_direction``,
+    ``f_primes`` and ``deterministic_reduction`` accept a view in place of
+    a joint, so a caller that runs several of them builds the tables once.
     """
 
     joint: FiniteDist
     tuple_p: np.ndarray
     supp5: np.ndarray
     pv_uyr: np.ndarray
-    l_uxy1: np.ndarray
-    l_uy1: np.ndarray
-    l_uyr: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    drift: np.ndarray
 
     @staticmethod
     def of(joint: FiniteDist | JointView) -> JointView:
@@ -316,7 +317,10 @@ class JointView:
         with np.errstate(divide="ignore"):
             l_uxy1, l_uy1, l_uyr = (np.where(t > tol, np.log2(np.maximum(t, tol)), 0.0)
                                     for t in (pv_uxy1, pv_uy1, pv_uyr))
-        return JointView(joint, p5.sum(axis=4), p5 > tol, pv_uyr, l_uxy1, l_uy1, l_uyr)
+        l1 = l_uxy1[:, :, :, None, :]
+        l_uy1, l_uyr = l_uy1[:, None, :, None, :], l_uyr[:, None, None, :, :]
+        return JointView(joint, p5.sum(axis=4), p5 > tol, pv_uyr,
+                         l1 - l_uy1, l1 - l_uyr, l_uyr - l_uy1)
 
 
 def _require_markov_joint(view: JointView) -> None:
@@ -342,15 +346,12 @@ def f_primes(joint_base: FiniteDist | JointView, pert: Perturbation) -> tuple[fl
     f1'(0) = sum p(u,x,y1,yr) r(v|u,x,y1,yr) log2[ p(v|u,x,y1) / p(v|u,y1) ]
     f2'(0) = sum p(u,x,y1,yr) r(v|u,x,y1,yr) log2[ p(v|u,x,y1) / p(v|u,yr) ]
 
-    with both sums restricted to the support of the base joint.
+    over the support of the base joint: dense sums of the view's g1 and g2
+    weighted by p(tuple) r, zeroed off the support.
     """
     view = JointView.of(joint_base)
-    iu, ix, iy1, iyr, iv = np.nonzero(view.supp5)
-    w = view.tuple_p[iu, ix, iy1, iyr] * pert.r[iu, ix, iy1, iyr, iv]
-    l1 = view.l_uxy1[iu, ix, iy1, iv]
-    f1 = float(np.dot(w, l1 - view.l_uy1[iu, iy1, iv]))
-    f2 = float(np.dot(w, l1 - view.l_uyr[iu, iyr, iv]))
-    return f1, f2
+    w = np.where(view.supp5, view.tuple_p[..., None] * pert.r, 0.0)
+    return float((w * view.g1).sum()), float((w * view.g2).sum())
 
 
 @dataclass(frozen=True)
@@ -459,26 +460,7 @@ def _pwl_argmin(evaluate: Callable[[float], tuple[float, float, Any]],
 # ---------------------------------------------------------------------------
 
 
-def _reconstruct_base(view: JointView) -> CodingDist:
-    """Markov-form coding distribution matching a Markov joint on support."""
-    joint = view.joint
-    ux = marginalize(joint, (U, X))
-    nu, nyr, nv = view.pv_uyr.shape  # zero rows where p(u,yr)=0
-    rows = view.pv_uyr.reshape(nu * nyr, nv).copy()
-    empty = rows.sum(axis=1) <= config.CONFIG.tol_supp
-    rows[empty, 0] = 1.0  # placeholder pmf on never-occurring (u, yr) pairs
-    tensor = rows.reshape(nu, 1, 1, nyr, nv)
-    nx = joint.alphabet(X).size
-    ny1 = joint.alphabet(Y1).size
-    tensor = np.broadcast_to(tensor, (nu, nx, ny1, nyr, nv))
-    kernel = CondKernel(
-        (joint.alphabet(U), joint.alphabet(X), joint.alphabet(Y1), joint.alphabet(YR)),
-        (joint.alphabet(V),),
-        tensor.reshape(nu * nx * ny1 * nyr, nv))
-    return CodingDist(ux, kernel, markov_form=True)
-
-
-def find_direction(joint_base: FiniteDist | JointView, base: CodingDist | None = None
+def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
                    ) -> tuple[Perturbation, float]:
     """Best direction for max min(f1'(0), f2'(0)) over the unit box.
 
@@ -487,7 +469,9 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist | None =
     entrywise. The box only fixes the scale; the sign of the optimum t* is
     what matters. A value above ``tol_lp`` certifies an improving direction.
 
-    With f1' = a.r and f2' = b.r, t* = min over lambda in [0, 1] of
+    With f1' = a.r and f2' = b.r (a = p(tuple) g1 and b = p(tuple) g2 from
+    the view, on the coordinates that ``base``, the Markov-form coding
+    distribution of the joint, leaves free), t* = min over lambda in [0, 1] of
     g(lambda) = max_r c.r for c = lambda*a + (1-lambda)*b. The maximum
     splits by tuple: +1 on the top floor(k/2) of the tuple's k free entries
     of c, -1 on the bottom floor(k/2), so g is convex and piecewise linear
@@ -495,17 +479,16 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist | None =
     maximiser at an end of [0, 1], or else the mix of the maximisers on
     both sides of lambda* that makes f1' = f2' (= t*).
 
-    Returns the direction and t*. Degenerate supports (no free
-    coordinates) return the zero direction and t* = 0.
+    Returns the direction, as a ``Perturbation`` of ``base``, and t*.
+    Degenerate supports (no free coordinates) return the zero direction and
+    t* = 0.
     """
     view = JointView.of(joint_base)
     _require_markov_joint(view)
-    if base is None:
-        base = _reconstruct_base(view)
     tol = config.CONFIG.tol_supp
-    tuple_p, l_uxy1, l_uy1, l_uyr = view.tuple_p, view.l_uxy1, view.l_uy1, view.l_uyr
+    w = view.tuple_p[..., None]
     mk = markov_kernel(base)
-    free5 = (tuple_p > tol)[..., None] & (mk[:, None, None, :, :] > tol)
+    free5 = (w > tol) & (mk[:, None, None, :, :] > tol)
     shape5 = free5.shape
     nv = shape5[-1]
     rows = np.flatnonzero(free5.reshape(-1, nv).any(axis=1))
@@ -513,10 +496,8 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist | None =
         return Perturbation(np.zeros(shape5), base), 0.0
 
     free = free5.reshape(-1, nv)[rows]
-    w = tuple_p[..., None]
-    l1 = l_uxy1[:, :, :, None, :]
-    a = np.where(free, (w * (l1 - l_uy1[:, None, :, None, :])).reshape(-1, nv)[rows], 0.0)
-    b = np.where(free, (w * (l1 - l_uyr[:, None, None, :, :])).reshape(-1, nv)[rows], 0.0)
+    a = np.where(free, (w * view.g1).reshape(-1, nv)[rows], 0.0)
+    b = np.where(free, (w * view.g2).reshape(-1, nv)[rows], 0.0)
     d = a - b
     off = np.where(free, 0.0, np.inf)  # sorts unsupported entries past the free ones
     k = free.sum(axis=1, keepdims=True)
@@ -558,20 +539,16 @@ def _alignment_rows(joint: FiniteDist | JointView) -> tuple[np.ndarray, np.ndarr
     """Deviation profile d(v) = base + lambda*drift per supported tuple.
 
     d(v) = log2 p(v|u,x,y1) - lambda*log2 p(v|u,y1) - (1-lambda)*log2 p(v|u,yr),
-    so base = log2 p(v|u,x,y1) - log2 p(v|u,yr) and drift = log2 p(v|u,yr)
-    - log2 p(v|u,y1). Returns (base, drift, free), one row per tuple
-    (u, x, y1, yr) with at least two supported letters v; the other tuples
-    have no spread.
+    so base is the view's g2 and drift its drift table. Returns (base,
+    drift, free), one row per tuple (u, x, y1, yr) with at least two
+    supported letters v; the other tuples have no spread.
     """
     view = JointView.of(joint)
-    supp5, l_uxy1, l_uy1, l_uyr = view.supp5, view.l_uxy1, view.l_uy1, view.l_uyr
-    nv = supp5.shape[-1]
-    free = supp5.reshape(-1, nv)
+    nv = view.supp5.shape[-1]
+    free = view.supp5.reshape(-1, nv)
     rows = np.flatnonzero(free.sum(axis=1) >= 2)
-    base = l_uxy1[:, :, :, None, :] - l_uyr[:, None, None, :, :]
-    drift = np.broadcast_to(l_uyr[:, None, None, :, :] - l_uy1[:, None, :, None, :],
-                            supp5.shape)
-    return base.reshape(-1, nv)[rows], drift.reshape(-1, nv)[rows], free[rows]
+    drift = np.broadcast_to(view.drift, view.supp5.shape)
+    return view.g2.reshape(-1, nv)[rows], drift.reshape(-1, nv)[rows], free[rows]
 
 
 def _min_deviation(base: np.ndarray, drift: np.ndarray, free: np.ndarray,
@@ -829,7 +806,7 @@ def _components(adjacent: np.ndarray) -> np.ndarray:
     return labels
 
 
-def deterministic_reduction(joint_base: FiniteDist) -> ReductionResult:
+def deterministic_reduction(joint_base: FiniteDist | JointView) -> ReductionResult:
     """Replace V with the component index W of the per-u co-support graph.
 
     For each u, letters v_a and v_b are adjacent when some yr supports
@@ -837,12 +814,12 @@ def deterministic_reduction(joint_base: FiniteDist) -> ReductionResult:
     function of (u, yr). The construction is valid when the broadcast
     channel has full support and the alignment condition holds; the result
     carries numerical residuals for I(X;Y1,W|U) = I(X;Y1,V|U) and for the
-    compression penalty inequality.
+    compression penalty inequality. It reads the joint, p(u, x, y1, yr)
+    and p(v | u, yr) of a ``JointView``, so a caller can share one view.
     """
-    joint = _canon(joint_base)
+    view = JointView.of(joint_base)
+    joint, tuple_p, pv_uyr = view.joint, view.tuple_p, view.pv_uyr
     tol = config.CONFIG.tol_supp
-    p5 = joint.pmf
-    tuple_p = p5.sum(axis=4)
     pux = tuple_p.sum(axis=(2, 3))
     gaps = (pux[:, :, None, None] > tol) & (tuple_p <= tol)
     if bool(gaps.any()):
@@ -851,7 +828,6 @@ def deterministic_reduction(joint_base: FiniteDist) -> ReductionResult:
             f"broadcast support gap: p(y1={y1_bad}, yr={yr_bad} | x={x_bad}) = 0 "
             f"while p(u={u_bad}, x={x_bad}) > 0")
 
-    pv_uyr = conditional_table(joint, V, (U, YR))  # (|U|, |Yr|, |V|)
     nu, nyr, nv = pv_uyr.shape
     w_of_v = np.zeros((nu, nv), dtype=int)
     w_of_yr = np.zeros((nu, nyr), dtype=int)
@@ -912,8 +888,8 @@ def full_support_verdict(spec: RelayNetSpec, cd: CodingDist) -> ReductionVerdict
             f"full-support hypothesis fails: broadcast entry (row {row}, column {col}) is zero")
     if not cd.markov_form:
         raise PreconditionError("reduction verdict requires a Markov-form coding distribution")
-    joint = build_joint(spec, cd)
-    witness = check_lambda(joint)
+    view = JointView.of(build_joint(spec, cd))
+    witness = check_lambda(view)
     if witness is None:
         return ReductionVerdict(REDUCTION_INFINITE_SLOPE, None, None)
-    return ReductionVerdict(REDUCTION_DETERMINISTIC, witness, deterministic_reduction(joint))
+    return ReductionVerdict(REDUCTION_DETERMINISTIC, witness, deterministic_reduction(view))

@@ -36,6 +36,18 @@ from .probcore import (Alphabet, CondKernel, FiniteDist, SchemaError, binary_ent
 from .relaynet import U, V, X, Y1, YR, CodingDist, RelayNetSpec
 
 
+def _check_unit(**values: float) -> None:
+    """Each named probability must lie in [0, 1], checked in order."""
+    for name, val in values.items():
+        if not 0.0 <= val <= 1.0:
+            raise SchemaError(f"{name} must lie in [0, 1], got {val}")
+
+
+def _check_c0(c0: float) -> None:
+    if not (np.isfinite(c0) and c0 >= 0.0):
+        raise SchemaError(f"c0 must be a nonnegative real, got {c0}")
+
+
 @dataclass(frozen=True)
 class ModAddParams:
     """Crossovers of the two noise bits and the relay pipe capacity."""
@@ -45,27 +57,8 @@ class ModAddParams:
     c0: float
 
     def __post_init__(self) -> None:
-        for name, val in (("p", self.p), ("delta", self.delta)):
-            if not 0.0 <= val <= 1.0:
-                raise SchemaError(f"{name} must lie in [0, 1], got {val}")
-        if not (np.isfinite(self.c0) and self.c0 >= 0.0):
-            raise SchemaError(f"c0 must be a nonnegative real, got {self.c0}")
-
-
-@dataclass(frozen=True)
-class BecParams:
-    """Erasure probability, re-erasure probability, pipe capacity."""
-
-    p: float
-    q: float
-    c0: float
-
-    def __post_init__(self) -> None:
-        for name, val in (("p", self.p), ("q", self.q)):
-            if not 0.0 <= val <= 1.0:
-                raise SchemaError(f"{name} must lie in [0, 1], got {val}")
-        if not (np.isfinite(self.c0) and self.c0 >= 0.0):
-            raise SchemaError(f"c0 must be a nonnegative real, got {self.c0}")
+        _check_unit(p=self.p, delta=self.delta)
+        _check_c0(self.c0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +451,7 @@ _E = 2  # index of the erasure letter in {0, 1, e}
 def make_bec_pair(p: float, c0: float = 0.0, c_cf: float = 0.0) -> RelayNetSpec:
     """Network spec whose broadcast is a product of two independent
     erasure channels with erasure probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise SchemaError(f"p must lie in [0, 1], got {p}")
+    _check_unit(p=p)
     x_a = Alphabet(X, 2, ("0", "1"))
     y1_a = Alphabet(Y1, 3, ("0", "1", "e"))
     yr_a = Alphabet(YR, 3, ("0", "1", "e"))
@@ -482,10 +474,7 @@ def bec_coding_dist(p: float, q: float) -> CodingDist:
     probability q; erased symbols stay erased. ``p`` only fixes the channel
     family the distribution pairs with; the kernel itself depends on q.
     """
-    if not 0.0 <= p <= 1.0:
-        raise SchemaError(f"p must lie in [0, 1], got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise SchemaError(f"q must lie in [0, 1], got {q}")
+    _check_unit(p=p, q=q)
     u_a = Alphabet(U, 1)
     x_a = Alphabet(X, 2, ("0", "1"))
     y1_a = Alphabet(Y1, 3, ("0", "1", "e"))
@@ -512,11 +501,8 @@ def _bec_bounds(p: float, q: float, c0: float) -> tuple[float, float]:
 
 def bec_rate(p: float, q: float, c0: float) -> float:
     """Closed-form no-cooperation rate of the re-erasure strategy."""
-    for name, val in (("p", p), ("q", q)):
-        if not 0.0 <= val <= 1.0:
-            raise SchemaError(f"{name} must lie in [0, 1], got {val}")
-    if not (np.isfinite(c0) and c0 >= 0.0):
-        raise SchemaError(f"c0 must be a nonnegative real, got {c0}")
+    _check_unit(p=p, q=q)
+    _check_c0(c0)
     return min(_bec_bounds(p, q, c0))
 
 
@@ -582,9 +568,7 @@ def bec_lambda_infeasibility(p: float, q: float) -> BecLambdaCheck:
     constraints the test is feasible; this matches the support-aware
     alignment check on the assembled joint.
     """
-    for name, val in (("p", p), ("q", q)):
-        if not 0.0 <= val <= 1.0:
-            raise SchemaError(f"{name} must lie in [0, 1], got {val}")
+    _check_unit(p=p, q=q)
     keep = (1.0 - p) * (1.0 - q)
     lost = p + q - p * q  # 1 - keep, without cancellation when keep rounds to 1
 

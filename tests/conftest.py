@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from cfdiamond import probcore, relaynet, slope
 from cfdiamond.probcore import Alphabet, CondKernel, FiniteDist, mutual_information
 from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint
 from cfdiamond.slope import Perturbation
@@ -125,3 +126,22 @@ def mi_loops(joint: FiniteDist, a, b, g=()) -> float:
 
 def relative_gap(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def count_calls(monkeypatch, functions):
+    """Count the calls to each of ``functions`` ({module: names}) through
+    every cfdiamond module that binds it."""
+    counts = {}
+    for module, names in functions.items():
+        for name in names:
+            orig = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod in (probcore, relaynet, slope):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+    return counts

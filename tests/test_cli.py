@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 import cfdiamond
 from cfdiamond import cli
 from cfdiamond.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, main
+from cfdiamond.diamond3 import CoopCurve
+from cfdiamond.probcore import SchemaError
+from cfdiamond.relaynet import CodingDist, RelayNetSpec
 from cfdiamond.zoo import bec_coding_dist, make_bec_pair
 
 
@@ -306,6 +309,46 @@ def test_file_errors_print_one_schema_line(argv, tmp_path, capsys):
     assert_one_schema_error(main(argv), capsys, names=str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["binary"]
     assert not list(tmp_path.parent.rglob(".cfd-*"))  # no temporary left
+
+
+@pytest.mark.parametrize("which, path, value, field", [
+    pytest.param("spec", ("x_alphabet", "size"), 2.5, "'x' size must be", id="size-float"),
+    pytest.param("spec", ("x_alphabet", "size"), True, "'x' size must be", id="size-bool"),
+    pytest.param("spec", ("x_alphabet", "labels"), "01", "'x' labels must be", id="labels-str"),
+    pytest.param("coding", ("markov_form",), "false", "markov_form must be", id="markov-str"),
+    pytest.param("spec", ("c0",), True, "c0 must be", id="c0-bool"),
+    pytest.param("spec", ("c0",), "0.3", "c0 must be", id="c0-str"),
+])
+def test_json_values_of_the_wrong_type_are_schema_errors(which, path, value, field, tmp_path,
+                                                         capsys):
+    objs = {"spec": make_bec_pair(0.5, c0=0.25).to_json_dict(),
+            "coding": bec_coding_dist(0.5, 0.5).to_json_dict()}
+    target = objs[which]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    reader = RelayNetSpec if which == "spec" else CodingDist
+    with pytest.raises(SchemaError, match=field):
+        reader.from_json_dict(objs[which])
+    for name, obj in objs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    code = main(["eval-pdcf", "--spec", str(tmp_path / "spec.json"),
+                 "--coding", str(tmp_path / "coding.json")])
+    assert_one_schema_error(code, capsys, names=field)
+
+
+@pytest.mark.parametrize("rows, bad", [
+    pytest.param("0,0.5\n0.1,nan\n", 1, id="nan"),
+    pytest.param("0,0.5\n0.1,inf\n", 1, id="inf"),
+    pytest.param("0,-inf\n0.1,0.5\n", 0, id="-inf")])
+def test_non_finite_curve_sample_is_a_schema_error(rows, bad, tmp_path, capsys):
+    samples = tuple(tuple(float(v) for v in row.split(",")) for row in rows.split())
+    with pytest.raises(SchemaError, match=f"curve sample {bad} "):
+        CoopCurve(samples)
+    path = tmp_path / "curve.csv"
+    path.write_text("c_cf,c_sum\n" + rows)
+    code = main(["diamond3", "slope-transfer", "--curve", str(path)])
+    assert_one_schema_error(code, capsys, names=f"curve sample {bad} ")
 
 
 @pytest.mark.parametrize("flag", ["--tol-norm", "--tol-supp", "--tol-dev"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfdiamond import probcore
 from cfdiamond.probcore import Alphabet, CondKernel, FiniteDist, PreconditionError, SchemaError
 from cfdiamond.relaynet import (
     CodingDist,
@@ -12,7 +13,7 @@ from cfdiamond.relaynet import (
     pdcf_reduction_residuals,
 )
 from cfdiamond.zoo import bec_coding_dist, bec_rate, make_bec_pair
-from conftest import mi_loops, rand_pmf, random_markov_instance
+from conftest import count_calls, mi_loops, rand_pmf, random_markov_instance
 
 
 def noiseless_spec(c0=2.0, c_cf=0.0):
@@ -269,6 +270,22 @@ def test_reduction_residual_breaks_off_markov():
     cd2 = CodingDist(cd.ux, vk, markov_form=False)
     r1, _ = pdcf_reduction_residuals(spec, cd2)
     assert r1 > 1e-6
+
+
+@pytest.mark.parametrize("evaluate", [eval_pdcf, pdcf_reduction_residuals])
+def test_pdcf_evaluators_compute_only_the_terms_they_read(monkeypatch, evaluate):
+    spec, cd = random_markov_instance(np.random.default_rng(16))
+    t = mi_terms(build_joint(spec, cd))
+    if evaluate is eval_pdcf:
+        want = min(t["I(U;Yr)"] + t["I(X;Y1,V|U)"],
+                   min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"] + spec.c0
+                   - t["I(Yr;V|U,X,Y1)"])
+    else:
+        want = (abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"]),
+                abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"])))
+    counts = count_calls(monkeypatch, {probcore: ("mutual_information",)})
+    assert evaluate(spec, cd) == want  # the same terms, bit for bit
+    assert counts == {"mutual_information": 5}  # mi_terms makes 9
 
 
 def test_data_processing_inequality_markov():

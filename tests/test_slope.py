@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfdiamond import probcore, relaynet
+from cfdiamond import probcore
 from cfdiamond.probcore import (
     Alphabet,
     CondKernel,
@@ -45,6 +45,7 @@ from cfdiamond.zoo import ModAddParams, bec_coding_dist, make_bec_pair, make_mod
     modadd_capacity, modadd_coding_dist
 from conftest import (
     central_difference,
+    count_calls,
     rand_pmf,
     random_direction,
     random_markov_instance,
@@ -403,22 +404,13 @@ def test_find_direction_bec_positive():
     assert f1 == pytest.approx(t, rel=1e-6)
 
 
-def test_find_direction_reconstructs_base_from_joint():
-    spec, cd = bec_instance()
-    joint = build_joint(spec, cd)
-    pert_a, t_a = find_direction(joint)
-    pert_b, t_b = find_direction(joint, base=cd)
-    assert t_a == pytest.approx(t_b, abs=1e-12)
-    assert np.max(np.abs(pert_a.r - pert_b.r)) < 1e-12
-
-
 def test_find_direction_rejects_non_markov_joint():
     spec, cd = bec_instance()
     joint = build_joint(spec, cd)
     pert, _ = find_direction(joint, base=cd)
     joint_q = build_joint(spec, perturb(cd, pert, 0.05))
     with pytest.raises(PreconditionError, match="not Markov"):
-        find_direction(joint_q)
+        find_direction(joint_q, base=cd)
 
 
 def test_check_lambda_v_independent_of_everything():
@@ -733,28 +725,9 @@ def test_direction_value_is_bounded_by_alignment_deviation(seed):
     # |V| // 2 times the least deviation check_lambda finds.
     spec, cd = zero_rich_instance(seed)
     view = JointView.of(build_joint(spec, cd))
-    _, t_star = find_direction(view)
+    _, t_star = find_direction(view, base=cd)
     _, dev = check_lambda(view, best=True)
     assert t_star <= (cd.v_kernel.rows.shape[1] // 2) * dev + 1e-10
-
-
-def count_calls(monkeypatch, functions):
-    """Count the calls to each of ``functions`` ({module: names}) through
-    every cfdiamond module that binds it."""
-    counts = {}
-    for module, names in functions.items():
-        for name in names:
-            orig = getattr(module, name)
-            counts[name] = 0
-
-            def counted(*args, _name=name, _orig=orig, **kwargs):
-                counts[_name] += 1
-                return _orig(*args, **kwargs)
-
-            for mod in (probcore, relaynet, slope_module):
-                if getattr(mod, name, None) is orig:
-                    monkeypatch.setattr(mod, name, counted)
-    return counts
 
 
 @pytest.mark.parametrize("kind, expect", [
@@ -774,6 +747,45 @@ def test_verdict_work_is_pinned(monkeypatch, kind, expect):
     assert counts == expect
 
 
+def test_full_support_verdict_shares_one_view(monkeypatch):
+    spec = make_modadd(ModAddParams(0.1, 0.1, 0.2))
+    counts = count_calls(monkeypatch, {probcore: ("conditional_table",)})
+    rv = full_support_verdict(spec, modadd_coding_dist(np.eye(2)))
+    assert rv.kind == REDUCTION_DETERMINISTIC
+    assert counts == {"conditional_table": 3}  # one view for both steps
+
+
+def relabelled(spec, cd, rng):
+    """The instance with the letters of U, X, Y1, Yr and V permuted."""
+    u_a, x_a, y1_a, yr_a = cd.v_kernel.from_vars
+    v_a = cd.v_kernel.to_vars[0]
+    pu, px, py1, pyr, pv = (rng.permutation(a.size) for a in (u_a, x_a, y1_a, yr_a, v_a))
+    rows = spec.broadcast.rows.reshape(x_a.size, yr_a.size, y1_a.size)[np.ix_(px, pyr, py1)]
+    spec2 = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a),
+                                                     rows.reshape(x_a.size, -1)), c0=spec.c0)
+    tensor = cd.v_kernel.tensor[np.ix_(pu, px, py1, pyr, pv)]
+    cd2 = CodingDist(FiniteDist((u_a, x_a), cd.ux.pmf[np.ix_(pu, px)]),
+                     CondKernel((u_a, x_a, y1_a, yr_a), (v_a,), tensor.reshape(-1, v_a.size)),
+                     markov_form=True)
+    return spec2, cd2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verdict_is_invariant_under_relabelling(seed):
+    # The tie rules of find_direction can pick a different optimal direction
+    # after relabelling, so only the verdict, t* and the witness deviation
+    # are compared.
+    spec, cd = zero_rich_instance(seed)
+    got = infinite_slope_verdict(spec, cd)
+    moved = infinite_slope_verdict(*relabelled(spec, cd, np.random.default_rng([seed, 1])))
+    assert moved.verdict == got.verdict
+    assert abs(moved.lp_value - got.lp_value) <= 1e-12
+    assert (moved.lambda_witness is None) == (got.lambda_witness is None)
+    if got.lambda_witness is not None:
+        assert abs(moved.lambda_witness[1] - got.lambda_witness[1]) <= 1e-12
+
+
 def test_steps_agree_on_joint_and_view():
     rng = np.random.default_rng(44)
     for aligned in (False, True):
@@ -784,12 +796,11 @@ def test_steps_agree_on_joint_and_view():
         assert JointView.of(view) is view
         assert check_lambda(joint, best=True) == check_lambda(view, best=True)
         assert check_lambda(joint) == check_lambda(view)
-        for base in (cd, None):
-            pert_j, t_j = find_direction(joint, base=base)
-            pert_v, t_v = find_direction(view, base=base)
-            assert t_j == t_v
-            assert pert_j.r.tobytes() == pert_v.r.tobytes()
-            assert f_primes(joint, pert_j) == f_primes(view, pert_j)
+        pert_j, t_j = find_direction(joint, base=cd)
+        pert_v, t_v = find_direction(view, base=cd)
+        assert t_j == t_v
+        assert pert_j.r.tobytes() == pert_v.r.tobytes()
+        assert f_primes(joint, pert_j) == f_primes(view, pert_j)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from cfdiamond.probcore import SchemaError, binary_entropy
 from cfdiamond.relaynet import build_joint, eval_pdcf
 from cfdiamond.slope import check_lambda
 from cfdiamond.zoo import (
-    BecParams,
     ModAddParams,
     bec_best_q,
     bec_coding_dist,
@@ -200,7 +199,7 @@ def test_param_validation():
     with pytest.raises(SchemaError):
         ModAddParams(1.2, 0.1, 0.0)
     with pytest.raises(SchemaError):
-        BecParams(0.5, -0.1, 0.0)
+        bec_coding_dist(0.5, -0.1)
     with pytest.raises(SchemaError):
         bec_rate(0.5, 0.5, -1.0)
     with pytest.raises(SchemaError):
@@ -212,7 +211,7 @@ def test_param_validation_rejects_non_finite_c0(c0):
     with pytest.raises(SchemaError):
         ModAddParams(0.1, 0.1, c0)
     with pytest.raises(SchemaError):
-        BecParams(0.5, 0.5, c0)
+        make_bec_pair(0.5, c0=c0)
     with pytest.raises(SchemaError):
         bec_rate(0.5, 0.5, c0)
     with pytest.raises(SchemaError):
