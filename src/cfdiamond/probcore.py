@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -91,6 +91,22 @@ class Alphabet:
             raise SchemaError(f"alphabet {obj['name']!r} labels must be a list of strings, "
                               f"got {labels!r}")
         return Alphabet(obj["name"], obj["size"], tuple(labels) if labels is not None else None)
+
+
+def _is_json_number(value: Any) -> bool:
+    """A JSON number: an int or a float, and not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_list(value: Any, field: str, accept: Callable[[Any], bool], what: str) -> list:
+    """``value`` if it is a list whose every entry passes ``accept``; else a
+    ``SchemaError`` naming ``field`` and the first bad entry."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{field} must be a list, got {value!r}")
+    for i, entry in enumerate(value):
+        if not accept(entry):
+            raise SchemaError(f"{field}[{i}] must be {what}, got {entry!r}")
+    return value
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -165,7 +181,8 @@ class FiniteDist:
         if not isinstance(obj, dict) or "variables" not in obj or "pmf" not in obj:
             raise SchemaError("distribution JSON needs 'variables' and 'pmf'")
         variables = tuple(Alphabet.from_json_dict(v) for v in obj["variables"])
-        pmf = np.asarray(obj["pmf"], dtype=float)
+        pmf = np.asarray(_json_list(obj["pmf"], "pmf", _is_json_number, "a JSON number"),
+                         dtype=float)
         expected = int(np.prod([v.size for v in variables])) if variables else 1
         if pmf.ndim != 1 or pmf.size != expected:
             raise SchemaError(f"pmf array has length {pmf.size}, expected {expected}")
@@ -254,14 +271,20 @@ class CondKernel:
             raise SchemaError("kernel JSON needs 'from', 'to' and 'rows'")
         from_vars = tuple(Alphabet.from_json_dict(v) for v in obj["from"])
         to_vars = tuple(Alphabet.from_json_dict(v) for v in obj["to"])
-        rows = np.asarray(obj["rows"], dtype=float)
+        rows = _json_list(obj["rows"], "rows", lambda row: isinstance(row, list), "a list")
+        for i, row in enumerate(rows):
+            _json_list(row, f"rows[{i}]", _is_json_number, "a JSON number")
+        rows = np.asarray(rows, dtype=float)
         n_from = int(np.prod([v.size for v in from_vars])) if from_vars else 1
         n_to = int(np.prod([v.size for v in to_vars])) if to_vars else 1
         if rows.shape != (n_from, n_to):
             raise SchemaError(f"kernel rows have shape {rows.shape}, expected ({n_from}, {n_to})")
         defined = obj.get("defined")
-        return CondKernel(from_vars, to_vars, rows,
-                          np.asarray(defined, dtype=bool) if defined is not None else None)
+        if defined is not None:
+            defined = np.asarray(_json_list(defined, "defined",
+                                            lambda flag: isinstance(flag, bool), "true or false"),
+                                 dtype=bool)
+        return CondKernel(from_vars, to_vars, rows, defined)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +368,16 @@ def entropy_letters_first(p: np.ndarray) -> np.ndarray:
 
 
 def entropy(d: FiniteDist, vars: Any = None) -> float:
-    """Shannon entropy in bits of the marginal on ``vars`` (all if None)."""
+    """Shannon entropy in bits of the marginal on ``vars`` (all if None).
+
+    The marginal is taken with its axes in the joint's own variable order,
+    so every order of the same names sums the same entries in the same
+    order and gives the same bits.
+    """
     names = _as_names(vars) if vars is not None else d.names
     if not names:
         return 0.0
-    return _h_bits(_marginal_array(d, names))
+    return _h_bits(_marginal_array(d, tuple(d.variables[i].name for i in sorted(d.axes(names)))))
 
 
 def conditional_entropy(d: FiniteDist, target: Any, given: Any) -> float:
@@ -360,22 +388,28 @@ def conditional_entropy(d: FiniteDist, target: Any, given: Any) -> float:
     return entropy(d, t + g) - entropy(d, g)
 
 
-def mutual_information(d: FiniteDist, a: Any, b: Any, given: Any = None) -> float:
-    """I(a; b | given) in bits.
+def mi_from_entropies(h_ag: float, h_bg: float, h_abg: float, h_g: float) -> float:
+    """I(a; b | g) = H(a,g) + H(b,g) - H(a,b,g) - H(g), in bits.
 
     A negative value within ``tol_norm`` of zero is rounding and returns
     0.0; a more negative one (or NaN) raises ``InfeasibleError``.
     """
-    aa = _as_names(a)
-    bb = _as_names(b)
-    gg = _as_names(given)
-    _check_disjoint(aa, bb, gg)
-    raw = (entropy(d, aa + gg) + entropy(d, bb + gg)
-           - entropy(d, aa + bb + gg) - entropy(d, gg))
+    raw = h_ag + h_bg - h_abg - h_g
     if not raw >= -config.CONFIG.tol_norm:
         raise InfeasibleError(f"mutual information {raw!r} is not >= -tol_norm "
                               f"= -{config.CONFIG.tol_norm}")
     return max(0.0, raw)
+
+
+def mutual_information(d: FiniteDist, a: Any, b: Any, given: Any = None) -> float:
+    """I(a; b | given) in bits, from four ``entropy`` calls combined by
+    ``mi_from_entropies``."""
+    aa = _as_names(a)
+    bb = _as_names(b)
+    gg = _as_names(given)
+    _check_disjoint(aa, bb, gg)
+    return mi_from_entropies(entropy(d, aa + gg), entropy(d, bb + gg),
+                             entropy(d, aa + bb + gg), entropy(d, gg))
 
 
 def binary_entropy(x: float) -> float:

@@ -39,15 +39,16 @@ from typing import Any
 
 import numpy as np
 
-from . import config
+from . import config, probcore
 from .probcore import (
     Alphabet,
     CondKernel,
     FiniteDist,
     PreconditionError,
     SchemaError,
+    _is_json_number,
     compose,
-    mutual_information,
+    mi_from_entropies,
     reorder,
 )
 
@@ -75,9 +76,22 @@ NO_V_TERMS = TERM_NAMES[:4]
 BOUND_V_TERMS = TERM_NAMES[4:8]
 
 
+def _canonical(*groups: Any) -> tuple[str, ...]:
+    """The names of ``groups`` (each a name, a tuple of names or None) in
+    ``CANON_ORDER``."""
+    names = {n for g in groups if g is not None for n in ((g,) if isinstance(g, str) else g)}
+    return tuple(n for n in CANON_ORDER if n in names)
+
+
+#: Each term's four entropy subsets (a,g), (b,g), (a,b,g) and (g), each in
+#: ``CANON_ORDER``, so that terms sharing a subset share its key.
+_TERM_SUBSETS = {name: (_canonical(a, g), _canonical(b, g), _canonical(a, b, g), _canonical(g))
+                 for name, (a, b, g) in _TERM_ARGS.items()}
+
+
 def _json_real(value: Any, field: str) -> float:
     """A JSON number, which excludes booleans and strings, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_json_number(value):
         raise SchemaError(f"{field} must be a JSON number, got {value!r}")
     return float(value)
 
@@ -224,8 +238,22 @@ def build_joint(spec: RelayNetSpec, cd: CodingDist) -> FiniteDist:
 
 
 def rate_terms(joint: FiniteDist, names: tuple[str, ...]) -> dict[str, float]:
-    """The named terms of ``TERM_NAMES``, in bits, computed in the order given."""
-    return {name: mutual_information(joint, *_TERM_ARGS[name]) for name in names}
+    """The named terms of ``TERM_NAMES``, in bits, computed in the order given.
+
+    Terms share their entropies: each distinct non-empty subset is
+    evaluated once per call, through ``probcore.entropy``, and each term is
+    combined as ``mutual_information`` combines it, so every term equals
+    ``mutual_information(joint, *_TERM_ARGS[name])`` bit for bit.
+    """
+    h = {(): 0.0}
+    out = {}
+    for name in names:
+        subsets = _TERM_SUBSETS[name]
+        for s in subsets:
+            if s not in h:  # looked up per call, so a patched entropy is used
+                h[s] = probcore.entropy(joint, s)
+        out[name] = mi_from_entropies(*(h[s] for s in subsets))
+    return out
 
 
 def mi_terms(joint: FiniteDist) -> dict[str, float]:

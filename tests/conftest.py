@@ -53,6 +53,33 @@ def random_markov_instance(rng: np.random.Generator, max_size: int = 3,
     return spec, cd
 
 
+def sparse_pmf(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A pmf with about 40% exact zeros and at least one positive entry."""
+    x = rng.random(n) * (rng.random(n) > 0.4)
+    if not x.any():
+        x[rng.integers(n)] = 1.0
+    return x / x.sum()
+
+
+def zero_rich_instance(seed: int) -> tuple[RelayNetSpec, CodingDist]:
+    """A small Markov instance with zeros in the broadcast channel and in the
+    compression kernel."""
+    rng = np.random.default_rng(seed)
+    su, sx, sy1, syr, sv = (int(k) for k in rng.integers([1, 2, 2, 2, 2], [3, 4, 4, 4, 4],
+                                                         endpoint=True))
+    u_a, x_a = Alphabet("u", su), Alphabet("x", sx)
+    y1_a, yr_a, v_a = Alphabet("y1", sy1), Alphabet("yr", syr), Alphabet("v", sv)
+    rows = np.vstack([sparse_pmf(rng, syr * sy1) for _ in range(sx)])
+    mk = np.array([[sparse_pmf(rng, sv) for _ in range(syr)] for _ in range(su)])
+    tensor = np.broadcast_to(mk[:, None, None], (su, sx, sy1, syr, sv))
+    cd = CodingDist(FiniteDist((u_a, x_a), rand_pmf(rng, su * sx, 0.05)),
+                    CondKernel((u_a, x_a, y1_a, yr_a), (v_a,), tensor.reshape(-1, sv)),
+                    markov_form=True)
+    spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), rows),
+                        c0=float(rng.uniform(0.0, 1.0)))
+    return spec, cd
+
+
 def random_direction(rng: np.random.Generator, spec: RelayNetSpec,
                      cd: CodingDist) -> Perturbation:
     """A valid random direction: zero-sum rows, zero off support, peak 1."""
@@ -122,6 +149,17 @@ def mi_loops(joint: FiniteDist, a, b, g=()) -> float:
     for (ka, kb, kg), p in p_abg.items():
         total += p * math.log2(p * p_g[kg] / (p_ag[(ka, kg)] * p_bg[(kb, kg)]))
     return total
+
+
+def shift_entropies(monkeypatch, scale: float) -> None:
+    """Add scale * (number of variables)**2 to every ``probcore.entropy``.
+
+    I(a; b | g) then moves by -2 * scale * |a| * |b|, which forces a
+    negative raw value on independent variables.
+    """
+    exact = probcore.entropy
+    monkeypatch.setattr(probcore, "entropy", lambda d, vars=None:
+                        exact(d, vars) + scale * len(probcore._as_names(vars)) ** 2)
 
 
 def relative_gap(a: float, b: float, floor: float = 1e-6) -> float:

@@ -1,5 +1,5 @@
-"""The benchmark's seed-0 ``capacity``, ``sweep`` and ``cli`` workloads
-reproduce ``bench/reference.json``.
+"""The benchmark's seed-0 ``certify``, ``capacity``, ``sweep`` and ``cli``
+workloads reproduce ``bench/reference.json``.
 
 A benchmark run at the reference seed fails when an op's value drifts from
 the recorded one by more than ``VALUE_TOL``. Running every distinct op of
@@ -62,6 +62,10 @@ def run_against_reference(name: str, root: str = "") -> None:
         wl.cleanup()
     assert values.keys() == reference.keys()
     assert not failures
+
+
+def test_certify_workload_matches_bench_reference():
+    run_against_reference("certify")
 
 
 def test_capacity_workload_matches_bench_reference():

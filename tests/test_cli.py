@@ -318,6 +318,16 @@ def test_file_errors_print_one_schema_line(argv, tmp_path, capsys):
     pytest.param("coding", ("markov_form",), "false", "markov_form must be", id="markov-str"),
     pytest.param("spec", ("c0",), True, "c0 must be", id="c0-bool"),
     pytest.param("spec", ("c0",), "0.3", "c0 must be", id="c0-str"),
+    pytest.param("coding", ("ux", "pmf", 0), "0.5", "pmf[0] must be a JSON number",
+                 id="pmf-str"),
+    pytest.param("coding", ("ux", "pmf", 1), False, "pmf[1] must be a JSON number",
+                 id="pmf-bool"),
+    pytest.param("spec", ("broadcast", "rows", 0, 0), "1", "rows[0][0] must be a JSON number",
+                 id="rows-str"),
+    pytest.param("coding", ("v_kernel", "rows", 1, 0), True,
+                 "rows[1][0] must be a JSON number", id="rows-bool"),
+    pytest.param("spec", ("broadcast", "defined"), ["no", 1],
+                 "defined[0] must be true or false", id="defined-str"),
 ])
 def test_json_values_of_the_wrong_type_are_schema_errors(which, path, value, field, tmp_path,
                                                          capsys):
@@ -328,7 +338,7 @@ def test_json_values_of_the_wrong_type_are_schema_errors(which, path, value, fie
         target = target[key]
     target[path[-1]] = value
     reader = RelayNetSpec if which == "spec" else CodingDist
-    with pytest.raises(SchemaError, match=field):
+    with pytest.raises(SchemaError, match=re.escape(field)):
         reader.from_json_dict(objs[which])
     for name, obj in objs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import sys
@@ -28,7 +29,7 @@ from cfdiamond.probcore import (
     mutual_information,
     reorder,
 )
-from conftest import rand_pmf
+from conftest import rand_pmf, shift_entropies
 
 
 def dist(*pairs):
@@ -206,17 +207,6 @@ def test_mi_binary_symmetric_channel():
     d = dist(("x", 2), ("y", 2), pmf.ravel())
     assert mutual_information(d, "x", "y") == pytest.approx(1 - binary_entropy(eps), abs=1e-12)
     assert mutual_information(d, "x", "y") == pytest.approx(0.5001, abs=1e-3)
-
-
-def shift_entropies(monkeypatch, scale):
-    """Add scale * (number of variables)**2 to every entropy.
-
-    I(a; b | g) then moves by -2 * scale * |a| * |b|, which forces a
-    negative raw value on independent variables.
-    """
-    exact = probcore.entropy
-    monkeypatch.setattr(probcore, "entropy", lambda d, vars=None:
-                        exact(d, vars) + scale * len(probcore._as_names(vars)) ** 2)
 
 
 def test_mi_negative_within_tol_norm_is_clamped(monkeypatch):
@@ -462,3 +452,63 @@ def test_kernel_json_round_trip():
     back = CondKernel.from_json_dict(k.to_json_dict())
     assert back.from_vars == k.from_vars
     assert np.array_equal(back.rows, k.rows)
+
+
+BIT = {"name": "a", "size": 2, "labels": None}
+
+
+def kernel_json(rows, defined=None):
+    obj = {"from": [BIT], "to": [dict(BIT, name="b")], "rows": rows}
+    if defined is not None:
+        obj["defined"] = defined
+    return obj
+
+
+@pytest.mark.parametrize("reader, obj, field", [
+    pytest.param(FiniteDist, {"variables": [BIT], "pmf": ["0.5", "0.5"]},
+                 r"pmf\[0\] must be a JSON number", id="pmf-str"),
+    pytest.param(FiniteDist, {"variables": [BIT], "pmf": [True, False]},
+                 r"pmf\[0\] must be a JSON number", id="pmf-bool"),
+    pytest.param(FiniteDist, {"variables": [BIT], "pmf": "0.5"}, "pmf must be a list",
+                 id="pmf-not-list"),
+    pytest.param(CondKernel, kernel_json([["1", 0], [0, True]]),
+                 r"rows\[0\]\[0\] must be a JSON number", id="rows-str"),
+    pytest.param(CondKernel, kernel_json([[1, 0], [0, True]]),
+                 r"rows\[1\]\[1\] must be a JSON number", id="rows-bool"),
+    pytest.param(CondKernel, kernel_json([[1, 0], 1]), r"rows\[1\] must be a list",
+                 id="row-not-list"),
+    pytest.param(CondKernel, kernel_json([[1, 0], [0, 1]], ["no", 1]),
+                 r"defined\[0\] must be true or false", id="defined-str"),
+    pytest.param(CondKernel, kernel_json([[1, 0], [0, 1]], [True, 1]),
+                 r"defined\[1\] must be true or false", id="defined-int"),
+])
+def test_json_readers_take_only_json_numbers_and_booleans(reader, obj, field):
+    with pytest.raises(SchemaError, match=field):
+        reader.from_json_dict(obj)
+
+
+def test_json_readers_take_ints_floats_and_booleans():
+    d = FiniteDist.from_json_dict({"variables": [BIT], "pmf": [1, 0.0]})
+    assert d.pmf.tolist() == [1.0, 0.0]
+    k = CondKernel.from_json_dict(kernel_json([[1, 0], [0.0, 0.0]], [True, False]))
+    assert k.rows.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert k.defined.tolist() == [True, False]
+
+
+def test_entropy_is_the_same_for_every_order_of_the_names():
+    # a marginal is summed in the joint's own variable order, so the names'
+    # order cannot move a bit; term by term this makes H(u, y1, v) and
+    # H(y1, v, u) the same computation
+    rng = np.random.default_rng(11)
+    names = ("a", "b", "c", "d", "e")
+    for _ in range(20):
+        sizes = rng.integers(2, 6, size=5)
+        pmf = rng.random(sizes) ** 3 * (rng.random(sizes) > 0.3)
+        d = FiniteDist(tuple(Alphabet(n, int(k)) for n, k in zip(names, sizes)),
+                       pmf / pmf.sum())
+        for k in range(1, 6):
+            for subset in itertools.combinations(names, k):
+                want = entropy(d, subset)
+                assert all(entropy(d, perm) == want for perm in itertools.permutations(subset))
+        want = mutual_information(d, ("a", "c"), "e", ("b", "d"))
+        assert mutual_information(d, "e", ("c", "a"), ("d", "b")) == want

@@ -1,19 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfdiamond import probcore
-from cfdiamond.probcore import Alphabet, CondKernel, FiniteDist, PreconditionError, SchemaError
+from cfdiamond import config, probcore
+from cfdiamond.probcore import (
+    Alphabet,
+    CondKernel,
+    FiniteDist,
+    InfeasibleError,
+    PreconditionError,
+    SchemaError,
+    mutual_information,
+    reorder,
+)
 from cfdiamond.relaynet import (
+    CANON_ORDER,
+    TERM_NAMES,
     CodingDist,
     RelayNetSpec,
+    _TERM_ARGS,
     build_joint,
     eval_cf_rate,
     eval_pdcf,
     mi_terms,
     pdcf_reduction_residuals,
+    rate_terms,
 )
 from cfdiamond.zoo import bec_coding_dist, bec_rate, make_bec_pair
-from conftest import count_calls, mi_loops, rand_pmf, random_markov_instance
+from conftest import (
+    count_calls,
+    mi_loops,
+    rand_pmf,
+    random_markov_instance,
+    shift_entropies,
+    zero_rich_instance,
+)
 
 
 def noiseless_spec(c0=2.0, c_cf=0.0):
@@ -272,6 +293,8 @@ def test_reduction_residual_breaks_off_markov():
     assert r1 > 1e-6
 
 
+# non-empty entropies: 11 of the 14 that mi_terms takes; term by term the
+# five terms would take 18 and 20
 @pytest.mark.parametrize("evaluate", [eval_pdcf, pdcf_reduction_residuals])
 def test_pdcf_evaluators_compute_only_the_terms_they_read(monkeypatch, evaluate):
     spec, cd = random_markov_instance(np.random.default_rng(16))
@@ -283,9 +306,9 @@ def test_pdcf_evaluators_compute_only_the_terms_they_read(monkeypatch, evaluate)
     else:
         want = (abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"]),
                 abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"])))
-    counts = count_calls(monkeypatch, {probcore: ("mutual_information",)})
+    counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
     assert evaluate(spec, cd) == want  # the same terms, bit for bit
-    assert counts == {"mutual_information": 5}  # mi_terms makes 9
+    assert counts == {"mutual_information": 0, "entropy": 11}
 
 
 def test_data_processing_inequality_markov():
@@ -294,6 +317,57 @@ def test_data_processing_inequality_markov():
         spec, cd = random_markov_instance(rng)
         t = mi_terms(build_joint(spec, cd))
         assert t["I(X;Y1,V|U)"] <= t["I(X;Y1,Yr|U)"] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# rate_terms: entropies shared between terms
+# ---------------------------------------------------------------------------
+
+
+def sample_joint(kind, seed):
+    """A dense, zero-rich or random Markov joint from the shared generators."""
+    if kind == "zero-rich":
+        return build_joint(*zero_rich_instance(seed))
+    rng = np.random.default_rng(seed)
+    return build_joint(*random_markov_instance(rng, full_support=kind == "dense"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("dense", "zero-rich", "random")), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(TERM_NAMES), min_size=1, unique=True),
+       st.permutations(CANON_ORDER))
+def test_rate_terms_equal_each_mutual_information(kind, seed, names, order):
+    joint = sample_joint(kind, seed)
+    for j in (joint, reorder(joint, order)):
+        got = rate_terms(j, tuple(names))
+        assert list(got) == names
+        for name in names:  # bit for bit
+            assert got[name].hex() == mutual_information(j, *_TERM_ARGS[name]).hex()
+
+
+def test_rate_terms_keep_the_tol_norm_rule(monkeypatch):
+    # U is trivial, so I(U;Yr) and I(U;Y1) are zero up to rounding, and a
+    # shift of the entropies by s * |names|**2 moves them by -2 s
+    spec = noiseless_spec()
+    joint = build_joint(spec, simple_coding(spec, [[0.7, 0.3], [0.2, 0.8]]))
+    zero_terms = ("I(U;Yr)", "I(U;Y1)")
+    with monkeypatch.context() as m:
+        shift_entropies(m, 0.2 * config.CONFIG.tol_norm)  # raw about -0.4 tol_norm
+        assert rate_terms(joint, zero_terms) == {name: 0.0 for name in zero_terms}
+        assert rate_terms(joint, TERM_NAMES) == {
+            name: mutual_information(joint, *_TERM_ARGS[name]) for name in TERM_NAMES}
+    shift_entropies(monkeypatch, 1e-6)
+    for name in zero_terms:
+        with pytest.raises(InfeasibleError, match="tol_norm"):
+            rate_terms(joint, (name,))
+
+
+def test_mi_terms_take_each_entropy_once(monkeypatch):
+    joint = build_joint(*random_markov_instance(np.random.default_rng(16)))
+    counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
+    mi_terms(joint)
+    # 14 distinct non-empty subsets; term by term the nine terms take 34
+    assert counts == {"mutual_information": 0, "entropy": 14}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cfdiamond import probcore
 from cfdiamond.probcore import mutual_information
 from cfdiamond.relaynet import (
     BOUND_V_TERMS,
@@ -32,7 +33,7 @@ from cfdiamond.slope import (
     slope_curve,
 )
 from cfdiamond.zoo import bec_coding_dist, make_bec_pair
-from conftest import random_markov_instance
+from conftest import count_calls, random_markov_instance
 
 #: Absolute agreement of ccf and of the rate gain with the reference.
 CURVE_TOL = 1e-12
@@ -119,6 +120,16 @@ def test_mi_terms_makes_the_same_calls_in_term_order(tag, spec, cd, pert):
         got, want = mi_terms(joint), reference_mi_terms(joint)
         assert list(got) == list(want) == list(TERM_NAMES)
         assert got == want  # bit for bit
+
+
+def test_slope_curve_entropy_work_is_pinned(monkeypatch):
+    _, spec, cd, pert = CASES[0]
+    alphas = tuple(alpha_max(cd, pert) / 2 ** k for k in range(2, 10))
+    counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
+    slope_curve(spec, cd, pert, alphas)
+    # 14 for the base's nine terms, then 10 for the four V terms per step;
+    # term by term the 8 steps take 162
+    assert counts == {"mutual_information": 0, "entropy": 14 + 8 * 10}
 
 
 @pytest.mark.parametrize("tag, spec, cd, pert", CASES, ids=[c[0] for c in CASES])
