@@ -158,12 +158,18 @@ def rate_split_achievable(r0: float, r1: float, eps: float) -> RateSplit:
     Inputs are swapped if needed so r0 >= r1. The split: the first r1
     fraction of the block carries the plain message part, the next r0 - r1
     fraction carries a rate-(1/2 - eps) erasure encoding of the remaining
-    (r0 - r1)/2 - eps message bits, and the rest is zero padding.
+    (r0 - r1)/2 - eps message bits, and the rest is zero padding. So eps
+    < 1/2 keeps the code rate positive and eps <= (r0 + r1)/2 the rate >= 0.
     """
     if not all(np.isfinite(r) and r >= 0.0 for r in (r0, r1)):
         raise ValueError(f"rates must be nonnegative reals, got ({r0}, {r1})")
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive real, got {eps}")
+    if eps >= 0.5:
+        raise ValueError(f"eps must be below 1/2 for a positive code rate 1/2 - eps, got {eps}")
+    if eps > (r0 + r1) / 2.0:
+        raise ValueError(f"eps must be at most (r0 + r1)/2 = {(r0 + r1) / 2.0} for a "
+                         f"nonnegative rate, got {eps}")
     swapped = r1 > r0
     if swapped:
         r0, r1 = r1, r0

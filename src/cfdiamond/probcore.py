@@ -26,6 +26,7 @@ JSON formats:
 from __future__ import annotations
 
 import string
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -94,8 +95,10 @@ class Alphabet:
 
 
 def _is_json_number(value: Any) -> bool:
-    """A JSON number: an int or a float, and not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float can hold: a float, or an int within the double
+    range (int-float comparison is exact), and not a boolean."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 def _json_list(value: Any, field: str, accept: Callable[[Any], bool], what: str) -> list:
@@ -181,8 +184,8 @@ class FiniteDist:
         if not isinstance(obj, dict) or "variables" not in obj or "pmf" not in obj:
             raise SchemaError("distribution JSON needs 'variables' and 'pmf'")
         variables = tuple(Alphabet.from_json_dict(v) for v in obj["variables"])
-        pmf = np.asarray(_json_list(obj["pmf"], "pmf", _is_json_number, "a JSON number"),
-                         dtype=float)
+        pmf = np.asarray(_json_list(obj["pmf"], "pmf", _is_json_number,
+                                    "a JSON number in double range"), dtype=float)
         expected = int(np.prod([v.size for v in variables])) if variables else 1
         if pmf.ndim != 1 or pmf.size != expected:
             raise SchemaError(f"pmf array has length {pmf.size}, expected {expected}")
@@ -273,7 +276,7 @@ class CondKernel:
         to_vars = tuple(Alphabet.from_json_dict(v) for v in obj["to"])
         rows = _json_list(obj["rows"], "rows", lambda row: isinstance(row, list), "a list")
         for i, row in enumerate(rows):
-            _json_list(row, f"rows[{i}]", _is_json_number, "a JSON number")
+            _json_list(row, f"rows[{i}]", _is_json_number, "a JSON number in double range")
         rows = np.asarray(rows, dtype=float)
         n_from = int(np.prod([v.size for v in from_vars])) if from_vars else 1
         n_to = int(np.prod([v.size for v in to_vars])) if to_vars else 1
@@ -329,7 +332,7 @@ def _marginal_array(d: FiniteDist, names: tuple[str, ...]) -> np.ndarray:
 
 
 def _h_bits(p: np.ndarray) -> float:
-    flat = p.ravel()
+    flat = p.ravel(order="K")  # memory order, whatever order the axes are in
     flat = flat[flat > config.CONFIG.tol_supp]
     if flat.size == 0:
         return 0.0
@@ -370,14 +373,13 @@ def entropy_letters_first(p: np.ndarray) -> np.ndarray:
 def entropy(d: FiniteDist, vars: Any = None) -> float:
     """Shannon entropy in bits of the marginal on ``vars`` (all if None).
 
-    The marginal is taken with its axes in the joint's own variable order,
-    so every order of the same names sums the same entries in the same
-    order and gives the same bits.
+    The marginal is summed in memory order, the joint's own variable order,
+    so every order of the same names gives the same bits.
     """
     names = _as_names(vars) if vars is not None else d.names
     if not names:
         return 0.0
-    return _h_bits(_marginal_array(d, tuple(d.variables[i].name for i in sorted(d.axes(names)))))
+    return _h_bits(_marginal_array(d, names))
 
 
 def conditional_entropy(d: FiniteDist, target: Any, given: Any) -> float:

@@ -72,8 +72,6 @@ TERM_NAMES = tuple(_TERM_ARGS)
 #: The terms free of V. They depend on the (u, x, y1, yr) marginal alone, so
 #: joints that differ only in the compression channel share them.
 NO_V_TERMS = TERM_NAMES[:4]
-#: The V terms that the cooperative bounds and cf_required read.
-BOUND_V_TERMS = TERM_NAMES[4:8]
 
 
 def _canonical(*groups: Any) -> tuple[str, ...]:
@@ -90,9 +88,9 @@ _TERM_SUBSETS = {name: (_canonical(a, g), _canonical(b, g), _canonical(a, b, g),
 
 
 def _json_real(value: Any, field: str) -> float:
-    """A JSON number, which excludes booleans and strings, as a float."""
+    """A JSON number a float can hold (not a boolean or a string), as a float."""
     if not _is_json_number(value):
-        raise SchemaError(f"{field} must be a JSON number, got {value!r}")
+        raise SchemaError(f"{field} must be a JSON number in double range, got {value!r}")
     return float(value)
 
 
@@ -237,35 +235,42 @@ def build_joint(spec: RelayNetSpec, cd: CodingDist) -> FiniteDist:
     return reorder(j, CANON_ORDER)
 
 
-def rate_terms(joint: FiniteDist, names: tuple[str, ...]) -> dict[str, float]:
-    """The named terms of ``TERM_NAMES``, in bits, computed in the order given.
+class RateTerms(dict):
+    """The terms of ``TERM_NAMES`` on one joint, in bits, each computed when
+    first read, so a formula evaluates only the terms it reads.
 
-    Terms share their entropies: each distinct non-empty subset is
-    evaluated once per call, through ``probcore.entropy``, and each term is
-    combined as ``mutual_information`` combines it, so every term equals
-    ``mutual_information(joint, *_TERM_ARGS[name])`` bit for bit.
+    Each distinct non-empty subset's entropy is taken once per table,
+    through ``probcore.entropy``, and combined as ``mutual_information``
+    combines it, so every term equals ``mutual_information(joint,
+    *_TERM_ARGS[name])`` bit for bit. Terms in ``known`` are never computed.
     """
-    h = {(): 0.0}
-    out = {}
-    for name in names:
+
+    def __init__(self, joint: FiniteDist, known: dict[str, float] | None = None) -> None:
+        super().__init__(known or {})
+        self.joint = joint
+        self._entropies = {(): 0.0}
+
+    def __missing__(self, name: str) -> float:
         subsets = _TERM_SUBSETS[name]
+        h = self._entropies
         for s in subsets:
             if s not in h:  # looked up per call, so a patched entropy is used
-                h[s] = probcore.entropy(joint, s)
-        out[name] = mi_from_entropies(*(h[s] for s in subsets))
-    return out
+                h[s] = probcore.entropy(self.joint, s)
+        value = self[name] = mi_from_entropies(*(h[s] for s in subsets))
+        return value
 
 
 def mi_terms(joint: FiniteDist) -> dict[str, float]:
     """Every mutual-information term used by the rate bounds, in bits."""
     if joint.names != CANON_ORDER:
         joint = reorder(joint, CANON_ORDER)
-    return rate_terms(joint, TERM_NAMES)
+    t = RateTerms(joint)
+    return {name: t[name] for name in TERM_NAMES}
 
 
 def bounds_from_terms(t: dict[str, float], c0: float) -> tuple[float, float, float]:
-    """(bound1, bound2, cf_required) from the terms ``NO_V_TERMS`` and
-    ``BOUND_V_TERMS`` and the pipe capacity."""
+    """(bound1, bound2, cf_required) from the rate terms and the pipe
+    capacity; every term but I(Yr;V|U,X,Y1) is read."""
     bound1 = t["I(U;Yr)"] + min(t["I(X;Y1,Yr|U)"], t["I(X;Y1,V|U)"])
     bound2 = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
               + t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + c0)
@@ -288,13 +293,6 @@ def eval_cf_rate(spec: RelayNetSpec, cd: CodingDist) -> RateReport:
     return RateReport(bound1, bound2, cf_required, feasible, achievable, terms)
 
 
-#: The rate terms ``eval_pdcf`` reads.
-_PDCF_TERMS = ("I(U;Yr)", "I(U;Y1)", "I(X;Y1|U)", "I(X;Y1,V|U)", "I(Yr;V|U,X,Y1)")
-#: The rate terms ``pdcf_reduction_residuals`` reads.
-_RESIDUAL_TERMS = ("I(X;Y1,Yr|U)", "I(X;Y1,V|U)", "I(V;X,Y1|U)", "I(Yr;V|U)",
-                   "I(Yr;V|U,X,Y1)")
-
-
 def eval_pdcf(spec: RelayNetSpec, cd: CodingDist) -> float:
     """Classical PD/CF rate (no cooperation) at a Markov-form distribution.
 
@@ -302,7 +300,7 @@ def eval_pdcf(spec: RelayNetSpec, cd: CodingDist) -> float:
     """
     if not cd.markov_form:
         raise PreconditionError("PD/CF evaluation requires a Markov-form coding distribution")
-    t = rate_terms(build_joint(spec, cd), _PDCF_TERMS)
+    t = RateTerms(build_joint(spec, cd))
     first = t["I(U;Yr)"] + t["I(X;Y1,V|U)"]
     second = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
               + spec.c0 - t["I(Yr;V|U,X,Y1)"])
@@ -321,7 +319,7 @@ def pdcf_reduction_residuals(spec: RelayNetSpec, cd: CodingDist) -> tuple[float,
     reports, it never asserts. Only the five terms the residuals read are
     evaluated.
     """
-    t = rate_terms(build_joint(spec, cd), _RESIDUAL_TERMS)
+    t = RateTerms(build_joint(spec, cd))
     first = abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"])
     second = abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"]))
     return first, second

@@ -63,10 +63,10 @@ from .probcore import (
     reorder,
 )
 from .relaynet import (
-    BOUND_V_TERMS,
     CANON_ORDER,
     NO_V_TERMS,
     CodingDist,
+    RateTerms,
     RelayNetSpec,
     U,
     V,
@@ -77,7 +77,6 @@ from .relaynet import (
     build_joint,
     markov_kernel,
     rate_bounds,
-    rate_terms,
 )
 
 #: Default geometric alpha schedule, largest first.
@@ -246,18 +245,26 @@ def perturb(base: CodingDist, pert: Perturbation, alpha: float) -> CodingDist:
 
 
 def _perturbed_joints(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
-                      alphas: Sequence[float]) -> tuple[FiniteDist, Iterator[FiniteDist]]:
-    """The base joint, and the joint of q = p + alpha * r for each alpha.
+                      alphas: Sequence[float] | None
+                      ) -> tuple[tuple[float, ...], FiniteDist, Iterator[FiniteDist]]:
+    """The schedule (default: ``default_schedule`` of the validity limit),
+    the base joint, and the joint of q = p + alpha * r for each alpha.
 
-    The joint of q is p(u,x,y1,yr) q(v|u,x,y1,yr), the base joint plus
-    alpha * D with D = p(u,x,y1,yr) r, so the base joint and D are built
-    once per call. The schedule is checked whole before anything is
-    evaluated; the joints are built as the iterator is consumed.
+    The steps are taken as floats, in the order given, and the schedule is
+    checked whole before anything is evaluated. The joint of q is the base
+    joint plus alpha * D with D = p(u,x,y1,yr) r, so the base joint and D
+    are built once per call; the joints are built as the iterator is
+    consumed.
     """
+    if alphas is None:
+        alphas = default_schedule(alpha_max(base, pert))
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("empty alpha schedule")
     _check_alphas(base, pert, alphas)
     joint = build_joint(spec, base)
     d = joint.pmf.sum(axis=4, keepdims=True) * pert.r
-    return joint, (FiniteDist(joint.variables, joint.pmf + a * d) for a in alphas)
+    return alphas, joint, (FiniteDist(joint.variables, joint.pmf + a * d) for a in alphas)
 
 
 def default_schedule(amax: float = float("inf")) -> tuple[float, ...]:
@@ -366,10 +373,6 @@ class CurvatureReport:
                 "loglog_slope": self.loglog_slope}
 
 
-#: The cooperation cost ccf(alpha), as a rate term.
-_CF_TERM = "I(X,Y1;V|U,Yr)"
-
-
 def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
                   alphas: Sequence[float] | None = None) -> CurvatureReport:
     """Required cooperation rate ccf(alpha) along a schedule.
@@ -382,16 +385,11 @@ def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
     the validity limit raises ``AlphaRangeError`` before anything is
     evaluated; alpha = 0 and the zero direction give ccf = 0.
     """
-    if alphas is None:
-        alphas = default_schedule(alpha_max(base, pert))
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ValueError("empty alpha schedule")
-    _, joints = _perturbed_joints(spec, base, pert, alphas)
+    alphas, _, joints = _perturbed_joints(spec, base, pert, alphas)
     points = []
     for a, joint_q in zip(alphas, joints):
         if a > 0.0 and not pert.is_zero:
-            ccf = rate_terms(joint_q, (_CF_TERM,))[_CF_TERM]
+            ccf = RateTerms(joint_q)["I(X,Y1;V|U,Yr)"]
         else:
             ccf = 0.0
         points.append((a, ccf, ccf / a if a > 0.0 else 0.0))
@@ -631,10 +629,6 @@ class SlopeVerdict:
                 "direction": None if self.direction is None else self.direction.to_json_dict()}
 
 
-#: The rate terms of the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U).
-_PRECONDITION_TERMS = ("I(X;Y1,Yr|U)", "I(X;Y1,V|U)")
-
-
 def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     """Certify whether small cooperation buys rate at unbounded slope here.
 
@@ -651,7 +645,7 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     if not cd.markov_form:
         raise PreconditionError("verdict requires a Markov-form coding distribution")
     joint = build_joint(spec, cd)
-    terms = rate_terms(joint, _PRECONDITION_TERMS)
+    terms = RateTerms(joint)
     gap = terms["I(X;Y1,Yr|U)"] - terms["I(X;Y1,V|U)"]
     strict = gap > config.CONFIG.tol_norm
     if not strict:
@@ -733,12 +727,9 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
     So when two ratios of the tail are that close, rounding can decide
     ``monotone_from_alpha``.
     """
-    if alphas is None:
-        alphas = default_schedule(alpha_max(cd, pert))
-    alphas = tuple(sorted((float(a) for a in alphas), reverse=True))
-    if not alphas:
-        raise ValueError("empty alpha schedule")
-    joint_p, joints = _perturbed_joints(spec, cd, pert, alphas)
+    if alphas is not None:  # the default schedule is largest first already
+        alphas = sorted(alphas, reverse=True)
+    alphas, joint_p, joints = _perturbed_joints(spec, cd, pert, alphas)
     b1, b2, _, terms = rate_bounds(joint_p, spec.c0)
     rate_base = min(b1, b2)
     no_v = {name: terms[name] for name in NO_V_TERMS}
@@ -747,8 +738,7 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
         if a == 0.0 or pert.is_zero:  # q = p: no cost and no gain
             points.append((a, 0.0, 0.0, 0.0))
             continue
-        q1, q2, ccf = bounds_from_terms({**no_v, **rate_terms(joint_q, BOUND_V_TERMS)},
-                                        spec.c0)
+        q1, q2, ccf = bounds_from_terms(RateTerms(joint_q, no_v), spec.c0)
         delta = min(q1, q2) - rate_base
         # 1e-15 is float-noise floor, not a support threshold: genuine ccf
         # values at the smallest default alphas sit near 1e-12.

@@ -221,6 +221,16 @@ def test_non_finite_diamond3_input_is_a_schema_error(argv, capsys):
     assert_one_schema_error(main(argv), capsys)
 
 
+@pytest.mark.parametrize("r0, r1, eps, bound", [
+    ("0.1", "0.1", "0.7", "below 1/2"),
+    ("1", "1", "0.5", "below 1/2"),
+    ("0.1", "0.1", "0.2", "at most (r0 + r1)/2"),
+])
+def test_rate_split_eps_out_of_range_is_a_schema_error(r0, r1, eps, bound, capsys):
+    argv = ["diamond3", "rate-split", "--r0", r0, "--r1", r1, "--eps", eps]
+    assert_one_schema_error(main(argv), capsys, names=bound)
+
+
 def test_report_with_nan_is_refused_not_written(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "diamond_upper_bound", lambda c_sum0: float("nan"))
     out = tmp_path / "report.json"
@@ -328,6 +338,14 @@ def test_file_errors_print_one_schema_line(argv, tmp_path, capsys):
                  "rows[1][0] must be a JSON number", id="rows-bool"),
     pytest.param("spec", ("broadcast", "defined"), ["no", 1],
                  "defined[0] must be true or false", id="defined-str"),
+    # integers past the double range, which float() cannot convert
+    pytest.param("spec", ("c0",), 10**400, "c0 must be a JSON number", id="c0-huge"),
+    pytest.param("coding", ("ux", "pmf", 0), 10**400, "pmf[0] must be a JSON number",
+                 id="pmf-huge"),
+    pytest.param("spec", ("broadcast", "rows", 0, 0), -10**400,
+                 "rows[0][0] must be a JSON number", id="rows-huge"),
+    pytest.param("coding", ("ux", "variables", 0, "size"), 10**400, "pmf array has length 2,",
+                 id="size-huge"),
 ])
 def test_json_values_of_the_wrong_type_are_schema_errors(which, path, value, field, tmp_path,
                                                          capsys):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ def test_rate_split_validation():
         rate_split_achievable(-0.1, 0.0, 0.01)
     with pytest.raises(ValueError):
         rate_split_achievable(0.5, 0.2, 0.0)
+
+
+def test_rate_split_rejects_eps_that_makes_a_rate_negative():
+    # the erasure code's rate 1/2 - eps must be positive
+    for eps in (0.5, 0.7):
+        with pytest.raises(ValueError, match="below 1/2"):
+            rate_split_achievable(1.0, 1.0, eps)
+    # the diamond rate (r0 + r1)/2 - eps must be nonnegative
+    with pytest.raises(ValueError, match=re.escape("at most (r0 + r1)/2")):
+        rate_split_achievable(0.1, 0.1, 0.2)
+    rs = rate_split_achievable(0.1, 0.1, 0.1)  # the edge itself is rate 0
+    assert rs.rate == 0.0 and rs.code_rate == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from cfdiamond.relaynet import (
     CANON_ORDER,
     TERM_NAMES,
     CodingDist,
+    RateTerms,
     RelayNetSpec,
     _TERM_ARGS,
     build_joint,
@@ -24,7 +25,6 @@ from cfdiamond.relaynet import (
     eval_pdcf,
     mi_terms,
     pdcf_reduction_residuals,
-    rate_terms,
 )
 from cfdiamond.zoo import bec_coding_dist, bec_rate, make_bec_pair
 from conftest import (
@@ -320,7 +320,7 @@ def test_data_processing_inequality_markov():
 
 
 # ---------------------------------------------------------------------------
-# rate_terms: entropies shared between terms
+# RateTerms: each term computed when read, entropies shared between terms
 # ---------------------------------------------------------------------------
 
 
@@ -339,10 +339,10 @@ def sample_joint(kind, seed):
 def test_rate_terms_equal_each_mutual_information(kind, seed, names, order):
     joint = sample_joint(kind, seed)
     for j in (joint, reorder(joint, order)):
-        got = rate_terms(j, tuple(names))
-        assert list(got) == names
+        table = RateTerms(j)
         for name in names:  # bit for bit
-            assert got[name].hex() == mutual_information(j, *_TERM_ARGS[name]).hex()
+            assert table[name].hex() == mutual_information(j, *_TERM_ARGS[name]).hex()
+        assert list(table) == names  # in read order
 
 
 def test_rate_terms_keep_the_tol_norm_rule(monkeypatch):
@@ -353,13 +353,31 @@ def test_rate_terms_keep_the_tol_norm_rule(monkeypatch):
     zero_terms = ("I(U;Yr)", "I(U;Y1)")
     with monkeypatch.context() as m:
         shift_entropies(m, 0.2 * config.CONFIG.tol_norm)  # raw about -0.4 tol_norm
-        assert rate_terms(joint, zero_terms) == {name: 0.0 for name in zero_terms}
-        assert rate_terms(joint, TERM_NAMES) == {
+        table = RateTerms(joint)
+        assert [table[name] for name in zero_terms] == [0.0, 0.0]
+        assert {name: table[name] for name in TERM_NAMES} == {
             name: mutual_information(joint, *_TERM_ARGS[name]) for name in TERM_NAMES}
     shift_entropies(monkeypatch, 1e-6)
     for name in zero_terms:
         with pytest.raises(InfeasibleError, match="tol_norm"):
-            rate_terms(joint, (name,))
+            RateTerms(joint)[name]
+
+
+def test_rate_terms_compute_each_term_once(monkeypatch):
+    joint = build_joint(*random_markov_instance(np.random.default_rng(17)))
+    want = mi_terms(joint)
+    known = {"I(U;Yr)": 0.25, "I(X;Y1,V|U)": 0.5}  # not the joint's values
+    counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
+    table = RateTerms(joint, known)
+    assert table["I(X;Y1|U)"] == want["I(X;Y1|U)"]
+    assert counts == {"mutual_information": 0, "entropy": 4}  # (u,x), (u,y1), (u,x,y1), (u)
+    assert table["I(X;Y1|U)"] == want["I(X;Y1|U)"]  # a second read computes nothing
+    assert counts["entropy"] == 4
+    assert table["I(U;Yr)"] == 0.25 and table["I(X;Y1,V|U)"] == 0.5  # given, never computed
+    assert counts["entropy"] == 4
+    with pytest.raises(KeyError, match="I\\(X;V\\)"):
+        table["I(X;V)"]
+    assert list(table) == ["I(U;Yr)", "I(X;Y1,V|U)", "I(X;Y1|U)"]
 
 
 def test_mi_terms_take_each_entropy_once(monkeypatch):
