@@ -156,19 +156,19 @@ class FiniteDist:
             raise SchemaError(f"pmf sums to {s}, not 1 within {config.CONFIG.tol_norm}")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "pmf", _freeze(arr))
+        object.__setattr__(self, "_axis", {n: i for i, n in enumerate(names)})
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return tuple(self._axis)
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(v.size for v in self.variables)
 
     def axes(self, names: Sequence[str]) -> tuple[int, ...]:
-        lookup = {v.name: i for i, v in enumerate(self.variables)}
         try:
-            return tuple(lookup[n] for n in names)
+            return tuple(self._axis[n] for n in names)
         except KeyError as exc:
             raise ValueError(f"unknown variable name {exc.args[0]!r}; have {self.names}") from None
 
@@ -317,11 +317,12 @@ def _check_disjoint(*groups: tuple[str, ...]) -> None:
 def _marginal_array(d: FiniteDist, names: tuple[str, ...]) -> np.ndarray:
     """Marginal pmf on ``names``, axes ordered as requested."""
     keep = d.axes(names)
-    if len(set(keep)) != len(keep):
+    kept = set(keep)
+    if len(kept) != len(keep):
         raise ValueError(f"repeated variable in subset: {names}")
-    other = tuple(i for i in range(d.pmf.ndim) if i not in set(keep))
+    other = tuple(i for i in range(d.pmf.ndim) if i not in kept)
     arr = d.pmf.sum(axis=other) if other else d.pmf
-    kept_in_order = [i for i in range(d.pmf.ndim) if i in set(keep)]
+    kept_in_order = sorted(kept)
     perm = tuple(kept_in_order.index(a) for a in keep)
     return arr.transpose(perm)
 

@@ -262,9 +262,7 @@ class RateTerms(dict):
 
 def mi_terms(joint: FiniteDist) -> dict[str, float]:
     """Every mutual-information term used by the rate bounds, in bits."""
-    if joint.names != CANON_ORDER:
-        joint = reorder(joint, CANON_ORDER)
-    t = RateTerms(joint)
+    t = RateTerms(reorder(joint, CANON_ORDER))
     return {name: t[name] for name in TERM_NAMES}
 
 

@@ -58,8 +58,6 @@ from .probcore import (
     InfeasibleError,
     PreconditionError,
     conditional_table,
-    compose,
-    mutual_information,
     reorder,
 )
 from .relaynet import (
@@ -177,7 +175,7 @@ class Perturbation:
 
 def validate_against_joint(pert: Perturbation, joint_base: FiniteDist) -> None:
     """Check that the direction vanishes on zero-probability tuples."""
-    joint = _canon(joint_base)
+    joint = reorder(joint_base, CANON_ORDER)
     tuple_p = joint.pmf.sum(axis=4)
     off = np.abs(pert.r) * (tuple_p <= config.CONFIG.tol_supp)[..., None]
     if off.size and off.max() > 0.0:
@@ -281,12 +279,6 @@ def default_schedule(amax: float = float("inf")) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _canon(joint: FiniteDist) -> FiniteDist:
-    if joint.names != CANON_ORDER:
-        return reorder(joint, CANON_ORDER)
-    return joint
-
-
 @dataclass(frozen=True, eq=False)
 class JointView:
     """A canonical-order joint with the tables every certification step reads.
@@ -315,7 +307,7 @@ class JointView:
         """The view of a joint in any variable order; a view is returned as is."""
         if isinstance(joint, JointView):
             return joint
-        joint = _canon(joint)
+        joint = reorder(joint, CANON_ORDER)
         tol = config.CONFIG.tol_supp
         p5 = joint.pmf
         pv_uxy1 = conditional_table(joint, V, (U, X, Y1))
@@ -777,23 +769,25 @@ class ReductionResult:
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
-    """Connected-component labels for a symmetric boolean adjacency matrix."""
-    n = adjacent.shape[0]
-    labels = np.full(n, -1, dtype=int)
-    comp = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = comp
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(adjacent[node])[0]:
-                if labels[nxt] < 0:
-                    labels[nxt] = comp
-                    stack.append(nxt)
-        comp += 1
-    return labels
+    """Connected-component labels for a stack of symmetric boolean adjacency
+    matrices, shape (..., n, n) -> (..., n).
+
+    Only the letters with a self-loop are labelled, over the graph among
+    them; components are numbered in the order of their first letter, and
+    every other letter gets 0. The reachability closure squares the matrix
+    until it stops changing.
+    """
+    loops = np.diagonal(adjacent, axis1=-2, axis2=-1)
+    reach = adjacent & loops[..., :, None] & loops[..., None, :]
+    while True:
+        grown = reach @ reach  # every nonzero row has its self-loop, so this only grows
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    first = reach.argmax(axis=-1)  # a looped letter reaches itself
+    roots = loops & (first == np.arange(adjacent.shape[-1]))
+    rank = np.cumsum(roots, axis=-1) - 1
+    return np.where(loops, np.take_along_axis(rank, first, axis=-1), 0)
 
 
 def deterministic_reduction(joint_base: FiniteDist | JointView) -> ReductionResult:
@@ -801,11 +795,14 @@ def deterministic_reduction(joint_base: FiniteDist | JointView) -> ReductionResu
 
     For each u, letters v_a and v_b are adjacent when some yr supports
     both; W is the component of V, which is simultaneously a deterministic
-    function of (u, yr). The construction is valid when the broadcast
-    channel has full support and the alignment condition holds; the result
-    carries numerical residuals for I(X;Y1,W|U) = I(X;Y1,V|U) and for the
-    compression penalty inequality. It reads the joint, p(u, x, y1, yr)
-    and p(v | u, yr) of a ``JointView``, so a caller can share one view.
+    function of (u, yr). Only letters that some supported (u, yr) uses are
+    numbered; the others map to 0. The construction is valid when the
+    broadcast channel has full support and the alignment condition holds;
+    the result carries numerical residuals for I(X;Y1,W|U) = I(X;Y1,V|U)
+    and for the compression penalty inequality, read from the rate terms of
+    the joint and of the joint with V's letters merged into W's. It reads
+    the joint, p(u, x, y1, yr) and p(v | u, yr) of a ``JointView``, so a
+    caller can share one view.
     """
     view = JointView.of(joint_base)
     joint, tuple_p, pv_uyr = view.joint, view.tuple_p, view.pv_uyr
@@ -818,35 +815,20 @@ def deterministic_reduction(joint_base: FiniteDist | JointView) -> ReductionResu
             f"broadcast support gap: p(y1={y1_bad}, yr={yr_bad} | x={x_bad}) = 0 "
             f"while p(u={u_bad}, x={x_bad}) > 0")
 
-    nu, nyr, nv = pv_uyr.shape
-    w_of_v = np.zeros((nu, nv), dtype=int)
-    w_of_yr = np.zeros((nu, nyr), dtype=int)
-    max_comps = 1
-    for u in range(nu):
-        supp = pv_uyr[u] > tol  # (|Yr|, |V|)
-        adjacent = np.zeros((nv, nv), dtype=bool)
-        for yr in range(nyr):
-            vs = np.nonzero(supp[yr])[0]
-            adjacent[np.ix_(vs, vs)] = True
-        labels = _components(adjacent)
-        w_of_v[u] = labels
-        for yr in range(nyr):
-            vs = np.nonzero(supp[yr])[0]
-            w_of_yr[u, yr] = labels[vs[0]] if vs.size else 0
-        max_comps = max(max_comps, int(labels.max()) + 1)
+    supp = pv_uyr > tol  # (|U|, |Yr|, |V|)
+    w_of_v = _components(np.einsum("uyv,uyw->uvw", supp, supp))
+    # letter 0 is labelled 0 whether or not it is used, so a row with no
+    # support maps to 0
+    w_of_yr = np.take_along_axis(w_of_v, supp.argmax(axis=-1), axis=-1)
+    num_components = int(w_of_v.max()) + 1
 
-    w_alpha = Alphabet("w", max_comps)
-    rows = np.zeros((nu * nv, max_comps))
-    rows[np.arange(nu * nv), w_of_v.ravel()] = 1.0
-    w_kernel = CondKernel((joint.alphabet(U), joint.alphabet(V)), (w_alpha,), rows)
-    extended = compose(joint, w_kernel)
-
-    i_v = mutual_information(extended, X, (Y1, V), U)
-    i_w = mutual_information(extended, X, (Y1, "w"), U)
-    pen_v = mutual_information(extended, YR, V, (U, X, Y1))
-    pen_w = mutual_information(extended, YR, "w", (U, X, Y1))
-    return ReductionResult(w_of_v, w_of_yr, max_comps,
-                           abs(i_v - i_w), pen_v - pen_w)
+    merge = (w_of_v[..., None] == np.arange(num_components)).astype(float)
+    merged = FiniteDist(joint.variables[:4] + (Alphabet(V, num_components),),
+                        np.einsum("uxyrv,uvw->uxyrw", joint.pmf, merge))
+    t_v, t_w = RateTerms(joint), RateTerms(merged)
+    return ReductionResult(w_of_v, w_of_yr, num_components,
+                           abs(t_v["I(X;Y1,V|U)"] - t_w["I(X;Y1,V|U)"]),
+                           t_v["I(Yr;V|U,X,Y1)"] - t_w["I(Yr;V|U,X,Y1)"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,10 @@
 
 The oracles here intentionally avoid the library's vectorized paths:
 ``mi_loops`` accumulates marginals in dictionaries and applies the log-ratio
-definition directly, and ``shifted_terms`` rebuilds perturbed kernels by
-plain array arithmetic so derivative formulas can be checked against finite
-differences.
+definition directly, ``shifted_terms`` rebuilds perturbed kernels by plain
+array arithmetic so derivative formulas can be checked against finite
+differences, and ``reduction_by_kernel`` finds the components of the
+full-support reduction by depth-first search and composes W as a kernel.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from cfdiamond import probcore, relaynet, slope
-from cfdiamond.probcore import Alphabet, CondKernel, FiniteDist, mutual_information
+from cfdiamond import config, probcore, relaynet, slope
+from cfdiamond.probcore import Alphabet, CondKernel, FiniteDist, compose, mutual_information
 from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint
 from cfdiamond.slope import Perturbation
 
@@ -50,6 +51,33 @@ def random_markov_instance(rng: np.random.Generator, max_size: int = 3,
     if c0 is None:
         c0 = float(rng.uniform(0.0, 1.0))
     spec = RelayNetSpec(x_a, y1_a, yr_a, broadcast, c0=c0, c_cf=c_cf)
+    return spec, cd
+
+
+def block_aligned_instance(seed: int) -> tuple[RelayNetSpec, CodingDist]:
+    """A full-support Markov instance whose compression channel is aligned
+    by blocks: under each u the yr letters fall into groups, the rows of
+    p(v | u, yr) in one group are one pmf on the group's own block of V
+    letters, and every V letter lies in some block, so every letter carries
+    mass."""
+    rng = np.random.default_rng(seed)
+    su, sx, sy1, syr, sv = (int(k) for k in rng.integers([1, 2, 2, 2, 2], [2, 3, 3, 4, 5],
+                                                         endpoint=True))
+    u_a, x_a = Alphabet("u", su), Alphabet("x", sx)
+    y1_a, yr_a, v_a = Alphabet("y1", sy1), Alphabet("yr", syr), Alphabet("v", sv)
+    mk = np.zeros((su, syr, sv))
+    for u in range(su):
+        _, group = np.unique(rng.integers(0, min(syr, sv), size=syr), return_inverse=True)
+        block = rng.permutation(np.arange(sv) % (group.max() + 1))
+        for g in range(group.max() + 1):
+            mk[u][np.ix_(group == g, block == g)] = rand_pmf(rng, int((block == g).sum()), 0.1)
+    tensor = np.broadcast_to(mk[:, None, None], (su, sx, sy1, syr, sv))
+    cd = CodingDist(FiniteDist((u_a, x_a), rand_pmf(rng, su * sx, 0.1)),
+                    CondKernel((u_a, x_a, y1_a, yr_a), (v_a,), tensor.reshape(-1, sv)),
+                    markov_form=True)
+    rows = np.vstack([rand_pmf(rng, syr * sy1, 0.1) for _ in range(sx)])
+    spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), rows),
+                        c0=float(rng.uniform(0.0, 1.0)))
     return spec, cd
 
 
@@ -149,6 +177,61 @@ def mi_loops(joint: FiniteDist, a, b, g=()) -> float:
     for (ka, kb, kg), p in p_abg.items():
         total += p * math.log2(p * p_g[kg] / (p_ag[(ka, kg)] * p_bg[(kb, kg)]))
     return total
+
+
+def components_dfs(adjacent: np.ndarray) -> np.ndarray:
+    """Connected-component labels for a symmetric boolean adjacency matrix,
+    by depth-first search from each unlabelled node in turn."""
+    n = adjacent.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    comp = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = comp
+        while stack:
+            node = stack.pop()
+            for nxt in np.nonzero(adjacent[node])[0]:
+                if labels[nxt] < 0:
+                    labels[nxt] = comp
+                    stack.append(nxt)
+        comp += 1
+    return labels
+
+
+def reduction_by_kernel(joint: FiniteDist) -> dict:
+    """The full-support reduction of a canonical-order joint, built letter by
+    letter: per u, the co-support components by ``components_dfs`` (every
+    letter, used or not, is a node), then W composed as a 0/1 kernel into a
+    six-variable joint and the residuals from four ``mutual_information``
+    calls."""
+    tol = config.CONFIG.tol_supp
+    pv_uyr = probcore.conditional_table(joint, "v", ("u", "yr"))
+    nu, nyr, nv = pv_uyr.shape
+    w_of_v = np.zeros((nu, nv), dtype=int)
+    w_of_yr = np.zeros((nu, nyr), dtype=int)
+    for u in range(nu):
+        supp = pv_uyr[u] > tol
+        adjacent = np.zeros((nv, nv), dtype=bool)
+        for yr in range(nyr):
+            vs = np.nonzero(supp[yr])[0]
+            adjacent[np.ix_(vs, vs)] = True
+        w_of_v[u] = components_dfs(adjacent)
+        for yr in range(nyr):
+            vs = np.nonzero(supp[yr])[0]
+            w_of_yr[u, yr] = w_of_v[u, vs[0]] if vs.size else 0
+    num = int(w_of_v.max()) + 1
+    rows = np.zeros((nu * nv, num))
+    rows[np.arange(nu * nv), w_of_v.ravel()] = 1.0
+    w_kernel = CondKernel((joint.alphabet("u"), joint.alphabet("v")), (Alphabet("w", num),), rows)
+    extended = compose(joint, w_kernel)
+    i_v = mutual_information(extended, "x", ("y1", "v"), "u")
+    i_w = mutual_information(extended, "x", ("y1", "w"), "u")
+    pen_v = mutual_information(extended, "yr", "v", ("u", "x", "y1"))
+    pen_w = mutual_information(extended, "yr", "w", ("u", "x", "y1"))
+    return {"w_of_v": w_of_v, "w_of_yr": w_of_yr, "num_components": num,
+            "rate_residual": abs(i_v - i_w), "penalty_slack": pen_v - pen_w}
 
 
 def shift_entropies(monkeypatch, scale: float) -> None:

@@ -39,16 +39,20 @@ from cfdiamond.slope import (
     slope_curve,
     validate_against_joint,
     _alignment_rows,
+    _components,
     _min_deviation,
 )
 from cfdiamond.zoo import ModAddParams, bec_coding_dist, make_bec_pair, make_modadd, \
     modadd_capacity, modadd_coding_dist
 from conftest import (
+    block_aligned_instance,
     central_difference,
+    components_dfs,
     count_calls,
     rand_pmf,
     random_direction,
     random_markov_instance,
+    reduction_by_kernel,
     relative_gap,
     zero_rich_instance,
 )
@@ -872,6 +876,65 @@ def test_reduction_two_component_instance():
     ext = compose(joint, wk)
     assert mutual_information(ext, "x", ("y1", "w"), "u") == pytest.approx(
         t["I(X;Y1,V|U)"], abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_components_match_depth_first_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    upper = np.triu(rng.random((n, n)) < rng.random())
+    adjacent = upper | upper.T
+    labels = _components(adjacent)
+    loops = np.diagonal(adjacent)
+    assert labels[loops].tolist() == components_dfs(adjacent[np.ix_(loops, loops)]).tolist()
+    assert not labels[~loops].any()
+    other = rng.random((n, n)) < 0.5
+    other = other | other.T
+    assert _components(np.stack([adjacent, other])).tolist() == [
+        labels.tolist(), _components(other).tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reduction_matches_kernel_oracle(seed):
+    spec, cd = block_aligned_instance(seed)
+    joint = build_joint(spec, cd)
+    assert check_lambda(joint) is not None
+    red = deterministic_reduction(joint)
+    ref = reduction_by_kernel(joint)
+    assert red.w_of_v.tolist() == ref["w_of_v"].tolist()
+    assert red.w_of_yr.tolist() == ref["w_of_yr"].tolist()
+    assert red.num_components == ref["num_components"]
+    assert abs(red.rate_residual - ref["rate_residual"]) <= 1e-12
+    assert abs(red.penalty_slack - ref["penalty_slack"]) <= 1e-12
+
+
+def test_reduction_work_is_pinned(monkeypatch):
+    view = JointView.of(build_joint(*block_aligned_instance(7)))
+    counts = count_calls(monkeypatch, {probcore: ("entropy", "mutual_information", "compose")})
+    deterministic_reduction(view)
+    assert counts == {"entropy": 14, "mutual_information": 0, "compose": 0}
+
+
+def test_reduction_numbers_only_letters_with_mass():
+    # letter 2 is never used
+    spec = make_modadd(ModAddParams(0.1, 0.1, 1.0))
+    rv = full_support_verdict(spec, modadd_coding_dist([[1, 0, 0], [0, 1, 0]]))
+    assert rv.kind == REDUCTION_DETERMINISTIC
+    assert rv.reduction.num_components == 2
+    assert rv.reduction.w_of_v.tolist() == [[0, 1, 0]]
+    assert rv.reduction.w_of_yr.tolist() == [[0, 1]]
+
+    # u = 1 has no mass, so none of its letters is used
+    spec = full_support_spec(np.random.default_rng(33))
+    row = rand_pmf(np.random.default_rng(34), 3, 0.2)
+    cd = markov_cd_from_rows(spec, [[row, row], np.eye(3)[:2]], u_size=2)
+    cd = CodingDist(FiniteDist(cd.ux.variables, [[0.5, 0.5], [0.0, 0.0]]), cd.v_kernel, True)
+    red = deterministic_reduction(build_joint(spec, cd))
+    assert red.num_components == 1
+    assert red.w_of_v.tolist() == [[0, 0, 0], [0, 0, 0]]
+    assert red.rate_residual <= 1e-12
 
 
 def test_reduction_precondition_support_gap():
