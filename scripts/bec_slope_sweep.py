@@ -46,7 +46,7 @@ def main() -> None:
     last = curve.points[-1]
     print(f"ratio at alpha={first[0]:g}: {first[3]:.3f}")
     print(f"ratio at alpha={last[0]:g}: {last[3]:.3f}")
-    print(f"monotone below alpha={curve.monotone_from_alpha:g}")
+    print(f"cost coefficient kappa={curve.kappa:.6g} (ccf ~ kappa * alpha^2)")
     print(f"wrote {csv_path} and {json_path}")
 
 

@@ -16,7 +16,7 @@ Three scalar functionals of q drive the analysis (all in bits):
     ccf(alpha) = I_q(X, Y1; V | U, Yr)
 
 Their first derivatives at alpha = 0 have closed forms; ccf starts at zero
-with zero slope (it is quadratic in alpha), while a direction with
+with zero slope (it is kappa alpha^2 to second order), while a direction with
 f1'(0) > 0 and f2'(0) > 0 raises both rate bounds at first order. Hence,
 when such a direction exists, the rate gain per unit of cooperation grows
 without bound as alpha -> 0.
@@ -244,9 +244,9 @@ def perturb(base: CodingDist, pert: Perturbation, alpha: float) -> CodingDist:
 
 def _perturbed_joints(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
                       alphas: Sequence[float] | None
-                      ) -> tuple[tuple[float, ...], FiniteDist, Iterator[FiniteDist]]:
+                      ) -> tuple[tuple[float, ...], FiniteDist, np.ndarray, Iterator[FiniteDist]]:
     """The schedule (default: ``default_schedule`` of the validity limit),
-    the base joint, and the joint of q = p + alpha * r for each alpha.
+    the base joint, D and the joint of q = p + alpha * r for each alpha.
 
     The steps are taken as floats, in the order given, and the schedule is
     checked whole before anything is evaluated. The joint of q is the base
@@ -262,7 +262,7 @@ def _perturbed_joints(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
     _check_alphas(base, pert, alphas)
     joint = build_joint(spec, base)
     d = joint.pmf.sum(axis=4, keepdims=True) * pert.r
-    return alphas, joint, (FiniteDist(joint.variables, joint.pmf + a * d) for a in alphas)
+    return alphas, joint, d, (FiniteDist(joint.variables, joint.pmf + a * d) for a in alphas)
 
 
 def default_schedule(amax: float = float("inf")) -> tuple[float, ...]:
@@ -283,20 +283,23 @@ def default_schedule(amax: float = float("inf")) -> tuple[float, ...]:
 class JointView:
     """A canonical-order joint with the tables every certification step reads.
 
-    ``tuple_p`` is p(u, x, y1, yr), ``supp5`` the support of the joint and
-    ``pv_uyr`` the table p(v | u, yr). With l(v | .) the log2 of p(v | .),
-    zero off its support, ``g1`` = l(v|u,x,y1) - l(v|u,y1) has shape
-    (U, X, Y1, 1, V), ``g2`` = l(v|u,x,y1) - l(v|u,yr) shape (U, X, Y1, Yr, V)
-    and ``drift`` = l(v|u,yr) - l(v|u,y1) shape (U, 1, Y1, Yr, V). f1'(0)
-    and f2'(0) weight g1 and g2 by p(tuple) r, and the alignment deviation
-    at lambda is g2 + lambda * drift. ``check_lambda``, ``find_direction``,
-    ``f_primes`` and ``deterministic_reduction`` accept a view in place of
-    a joint, so a caller that runs several of them builds the tables once.
+    ``tuple_p`` is p(u, x, y1, yr), ``pv_uyr`` the table p(v | u, yr) and
+    ``free`` the cells where both exceed ``tol_supp``: the coordinates a
+    direction moves, that the derivatives sum over and whose letters the
+    alignment deviation compares. With l(v | .) the log2 of p(v | .), zero
+    where p is (on a free cell each p(v | .) is at least p(tuple) p(v|u,yr)),
+    ``g1`` = l(v|u,x,y1) - l(v|u,y1) has shape (U, X, Y1, 1, V), ``g2`` =
+    l(v|u,x,y1) - l(v|u,yr) shape (U, X, Y1, Yr, V) and ``drift`` =
+    l(v|u,yr) - l(v|u,y1) shape (U, 1, Y1, Yr, V). f1'(0) and f2'(0) weight
+    g1 and g2 by p(tuple) r, and the alignment deviation at lambda is
+    g2 + lambda * drift. ``check_lambda``, ``find_direction``, ``f_primes``
+    and ``deterministic_reduction`` accept a view in place of a joint, so a
+    caller that runs several of them builds the tables once.
     """
 
     joint: FiniteDist
     tuple_p: np.ndarray
-    supp5: np.ndarray
+    free: np.ndarray
     pv_uyr: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
@@ -314,11 +317,13 @@ class JointView:
         pv_uy1 = conditional_table(joint, V, (U, Y1))
         pv_uyr = conditional_table(joint, V, (U, YR))
         with np.errstate(divide="ignore"):
-            l_uxy1, l_uy1, l_uyr = (np.where(t > tol, np.log2(np.maximum(t, tol)), 0.0)
+            l_uxy1, l_uy1, l_uyr = (np.where(t > 0.0, np.log2(t), 0.0)
                                     for t in (pv_uxy1, pv_uy1, pv_uyr))
         l1 = l_uxy1[:, :, :, None, :]
         l_uy1, l_uyr = l_uy1[:, None, :, None, :], l_uyr[:, None, None, :, :]
-        return JointView(joint, p5.sum(axis=4), p5 > tol, pv_uyr,
+        tuple_p = p5.sum(axis=4)
+        free = (tuple_p > tol)[..., None] & (pv_uyr > tol)[:, None, None, :, :]
+        return JointView(joint, tuple_p, free, pv_uyr,
                          l1 - l_uy1, l1 - l_uyr, l_uyr - l_uy1)
 
 
@@ -345,24 +350,40 @@ def f_primes(joint_base: FiniteDist | JointView, pert: Perturbation) -> tuple[fl
     f1'(0) = sum p(u,x,y1,yr) r(v|u,x,y1,yr) log2[ p(v|u,x,y1) / p(v|u,y1) ]
     f2'(0) = sum p(u,x,y1,yr) r(v|u,x,y1,yr) log2[ p(v|u,x,y1) / p(v|u,yr) ]
 
-    over the support of the base joint: dense sums of the view's g1 and g2
-    weighted by p(tuple) r, zeroed off the support.
+    over the view's free cells: dense sums of its g1 and g2 weighted by
+    p(tuple) r, zeroed elsewhere.
     """
     view = JointView.of(joint_base)
-    w = np.where(view.supp5, view.tuple_p[..., None] * pert.r, 0.0)
+    w = np.where(view.free, view.tuple_p[..., None] * pert.r, 0.0)
     return float((w * view.g1).sum()), float((w * view.g2).sum())
+
+
+def _cost_coefficient(joint: FiniteDist, d: np.ndarray) -> float:
+    """kappa, the exact coefficient of ccf(alpha) = kappa alpha^2 + O(alpha^3).
+
+    ccf is the p(tuple)-average of KL(q(.|u,x,y1,yr) || p(.|u,yr) + alpha rbar),
+    rbar(v|u,yr) the p(x,y1|u,yr)-average of r, so kappa = sum p(tuple)
+    (r - rbar)^2 / p(v|u,yr) / (2 ln 2): from D = p(tuple) r, the sum of
+    (D - p(tuple) rbar)^2 over the canonical-order joint p5.
+    """
+    p5 = joint.pmf
+    tuple_p = p5.sum(axis=4, keepdims=True)
+    p_uyr = tuple_p.sum(axis=(1, 2), keepdims=True)
+    d_uyr = d.sum(axis=(1, 2), keepdims=True)
+    rbar = np.divide(d_uyr, p_uyr, out=np.zeros_like(d_uyr), where=p_uyr > 0.0)
+    dev = d - tuple_p * rbar
+    cost = np.divide(dev * dev, p5, out=np.zeros_like(p5), where=p5 > 0.0)
+    return float(cost.sum()) / (2.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Cooperation cost along an alpha schedule plus a log-log slope fit."""
+    """Cooperation cost along an alpha schedule."""
 
     points: tuple[tuple[float, float, float], ...]  # (alpha, ccf, ccf/alpha)
-    loglog_slope: float | None
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"points": [{"alpha": a, "ccf": c, "ratio": q} for a, c, q in self.points],
-                "loglog_slope": self.loglog_slope}
+        return {"points": [{"alpha": a, "ccf": c, "ratio": q} for a, c, q in self.points]}
 
 
 def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
@@ -370,14 +391,14 @@ def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
     """Required cooperation rate ccf(alpha) along a schedule.
 
     ccf(alpha) vanishes quadratically at alpha = 0, so the ratios
-    ccf/alpha decrease toward zero and the fitted log-log slope is close
-    to 2 on full-support instances. Every perturbed joint is the base
-    joint plus alpha times one fixed array, and only I(X,Y1;V|U,Yr) is
-    evaluated on it. An alpha that is not finite, is negative or exceeds
-    the validity limit raises ``AlphaRangeError`` before anything is
-    evaluated; alpha = 0 and the zero direction give ccf = 0.
+    ccf/alpha decrease toward zero; ``slope_curve`` reports the
+    coefficient. Every perturbed joint is the base joint plus alpha times
+    one fixed array, and only I(X,Y1;V|U,Yr) is evaluated on it. An alpha
+    that is not finite, is negative or exceeds the validity limit raises
+    ``AlphaRangeError`` before anything is evaluated; alpha = 0 and the
+    zero direction give ccf = 0.
     """
-    alphas, _, joints = _perturbed_joints(spec, base, pert, alphas)
+    alphas, _, _, joints = _perturbed_joints(spec, base, pert, alphas)
     points = []
     for a, joint_q in zip(alphas, joints):
         if a > 0.0 and not pert.is_zero:
@@ -385,13 +406,7 @@ def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
         else:
             ccf = 0.0
         points.append((a, ccf, ccf / a if a > 0.0 else 0.0))
-    usable = [(a, c) for a, c, _ in points if a > 0.0 and c > 1e-300]
-    slope = None
-    if len(usable) >= 2:
-        la = np.log(np.array([a for a, _ in usable]))
-        lc = np.log(np.array([c for _, c in usable]))
-        slope = float(np.polyfit(la, lc, 1)[0])
-    return CurvatureReport(tuple(points), slope)
+    return CurvatureReport(tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +475,7 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
     what matters. A value above ``tol_lp`` certifies an improving direction.
 
     With f1' = a.r and f2' = b.r (a = p(tuple) g1 and b = p(tuple) g2 from
-    the view, on the coordinates that ``base``, the Markov-form coding
-    distribution of the joint, leaves free), t* = min over lambda in [0, 1] of
+    the view, on its free coordinates), t* = min over lambda in [0, 1] of
     g(lambda) = max_r c.r for c = lambda*a + (1-lambda)*b. The maximum
     splits by tuple: +1 on the top floor(k/2) of the tuple's k free entries
     of c, -1 on the bottom floor(k/2), so g is convex and piecewise linear
@@ -475,17 +489,14 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
     """
     view = JointView.of(joint_base)
     _require_markov_joint(view)
-    tol = config.CONFIG.tol_supp
     w = view.tuple_p[..., None]
-    mk = markov_kernel(base)
-    free5 = (w > tol) & (mk[:, None, None, :, :] > tol)
-    shape5 = free5.shape
+    shape5 = view.free.shape
     nv = shape5[-1]
-    rows = np.flatnonzero(free5.reshape(-1, nv).any(axis=1))
+    rows = np.flatnonzero(view.free.reshape(-1, nv).any(axis=1))
     if rows.size == 0:
         return Perturbation(np.zeros(shape5), base), 0.0
 
-    free = free5.reshape(-1, nv)[rows]
+    free = view.free.reshape(-1, nv)[rows]
     a = np.where(free, (w * view.g1).reshape(-1, nv)[rows], 0.0)
     b = np.where(free, (w * view.g2).reshape(-1, nv)[rows], 0.0)
     d = a - b
@@ -531,13 +542,13 @@ def _alignment_rows(joint: FiniteDist | JointView) -> tuple[np.ndarray, np.ndarr
     d(v) = log2 p(v|u,x,y1) - lambda*log2 p(v|u,y1) - (1-lambda)*log2 p(v|u,yr),
     so base is the view's g2 and drift its drift table. Returns (base,
     drift, free), one row per tuple (u, x, y1, yr) with at least two
-    supported letters v; the other tuples have no spread.
+    free letters v; the other tuples have no spread.
     """
     view = JointView.of(joint)
-    nv = view.supp5.shape[-1]
-    free = view.supp5.reshape(-1, nv)
+    nv = view.free.shape[-1]
+    free = view.free.reshape(-1, nv)
     rows = np.flatnonzero(free.sum(axis=1) >= 2)
-    drift = np.broadcast_to(view.drift, view.supp5.shape)
+    drift = np.broadcast_to(view.drift, view.free.shape)
     return view.g2.reshape(-1, nv)[rows], drift.reshape(-1, nv)[rows], free[rows]
 
 
@@ -667,14 +678,14 @@ class SlopeCurve:
     """
 
     _table: np.ndarray
-    monotone_from_alpha: float | None
+    kappa: float  # ccf(alpha) = kappa * alpha**2 + O(alpha**3)
 
     def __init__(self, points: Sequence[tuple[float, float, float, float]],
-                 monotone_from_alpha: float | None) -> None:
+                 kappa: float) -> None:
         table = np.array(points, dtype=float).reshape(-1, 4)
         table.setflags(write=False)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "monotone_from_alpha", monotone_from_alpha)
+        object.__setattr__(self, "kappa", kappa)
 
     @property
     def points(self) -> tuple[tuple[float, float, float, float], ...]:
@@ -683,7 +694,7 @@ class SlopeCurve:
     def to_json_dict(self) -> dict[str, Any]:
         return {"points": [{"alpha": a, "ccf": c, "delta_rate": d, "ratio": q}
                            for a, c, d, q in self.points],
-                "monotone_from_alpha": self.monotone_from_alpha}
+                "kappa": self.kappa}
 
     def to_csv(self) -> str:
         lines = ["alpha,ccf,delta_rate,ratio"]
@@ -700,8 +711,9 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
     ccf(alpha) of the perturbed distribution, the cooperative bounds are
     re-evaluated, and the gain over the unperturbed rate is divided by the
     cost. Intended for directions certified by ``infinite_slope_verdict``;
-    the ratio then grows without bound as alpha shrinks, and the report
-    notes the alpha below which it is observed monotone.
+    the ratio then grows without bound as alpha shrinks, because the cost
+    is second order: the report carries kappa, the exact coefficient of
+    ccf(alpha) = kappa alpha^2 + O(alpha^3), read once from the base joint.
 
     The curve is evaluated from one base joint: every perturbed joint is
     the base joint plus alpha times one fixed array, and its (u, x, y1, yr)
@@ -710,18 +722,11 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
     perturbed distribution and its joint up to rounding. An alpha that is
     not finite, is negative or exceeds the validity limit raises
     ``AlphaRangeError`` before anything is evaluated; alpha = 0 and the
-    zero direction give the point (alpha, 0, 0, 0).
-
-    The smallest steps rest on rounding. ccf(alpha) is near 1e-12 at
-    alpha = 1e-6, and it is a difference of entropies of order 1, so it
-    carries an absolute error near 1e-15 and its ratio about 1e-3 relative
-    rounding (two summation orders of one joint gave ratios 2.1e-4 apart).
-    So when two ratios of the tail are that close, rounding can decide
-    ``monotone_from_alpha``.
+    zero direction give the point (alpha, 0, 0, 0) and kappa = 0.
     """
     if alphas is not None:  # the default schedule is largest first already
         alphas = sorted(alphas, reverse=True)
-    alphas, joint_p, joints = _perturbed_joints(spec, cd, pert, alphas)
+    alphas, joint_p, d, joints = _perturbed_joints(spec, cd, pert, alphas)
     b1, b2, _, terms = rate_bounds(joint_p, spec.c0)
     rate_base = min(b1, b2)
     no_v = {name: terms[name] for name in NO_V_TERMS}
@@ -736,13 +741,7 @@ def slope_curve(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
         # values at the smallest default alphas sit near 1e-12.
         ratio = delta / ccf if ccf > 1e-15 else 0.0
         points.append((a, ccf, delta, ratio))
-    monotone_from = None
-    for k in range(len(points)):
-        ratios = [p[3] for p in points[k:]]
-        if all(ratios[i + 1] > ratios[i] for i in range(len(ratios) - 1)):
-            monotone_from = points[k][0]
-            break
-    return SlopeCurve(points, monotone_from)
+    return SlopeCurve(points, _cost_coefficient(joint_p, d))
 
 
 # ---------------------------------------------------------------------------

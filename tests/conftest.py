@@ -4,8 +4,9 @@ The oracles here intentionally avoid the library's vectorized paths:
 ``mi_loops`` accumulates marginals in dictionaries and applies the log-ratio
 definition directly, ``shifted_terms`` rebuilds perturbed kernels by plain
 array arithmetic so derivative formulas can be checked against finite
-differences, and ``reduction_by_kernel`` finds the components of the
-full-support reduction by depth-first search and composes W as a kernel.
+differences, ``reduction_by_kernel`` finds the components of the
+full-support reduction by depth-first search and composes W as a kernel,
+and ``reference_kappa`` sums the cost coefficient cell by cell.
 """
 
 from __future__ import annotations
@@ -149,6 +150,28 @@ def central_difference(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation,
     up = shifted_terms(spec, cd, pert, alpha)
     dn = shifted_terms(spec, cd, pert, -alpha)
     return (up[0] - dn[0]) / (2 * alpha), (up[1] - dn[1]) / (2 * alpha)
+
+
+def reference_kappa(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation) -> float:
+    """kappa = sum p(tuple) (r - rbar)^2 / p(v|u,yr) / (2 ln 2), cell by cell.
+
+    p(v | u, yr) is read from the coding kernel, and rbar(v | u, yr) is the
+    average of r over the (x, y1) of each (u, yr), weighted by p(tuple).
+    """
+    r = pert.r
+    tuple_p = build_joint(spec, cd).pmf.sum(axis=4)
+    mk = cd.v_kernel.tensor[:, 0, 0]
+    nu, nx, ny1, nyr, nv = r.shape
+    total = 0.0
+    for u, yr, v in itertools.product(range(nu), range(nyr), range(nv)):
+        cells = [(tuple_p[u, x, y1, yr], r[u, x, y1, yr, v])
+                 for x in range(nx) for y1 in range(ny1)]
+        p_uyr = sum(p for p, _ in cells)
+        if p_uyr == 0.0 or mk[u, yr, v] == 0.0:
+            continue
+        rbar = sum(p * rv for p, rv in cells) / p_uyr
+        total += sum(p * (rv - rbar) ** 2 for p, rv in cells) / mk[u, yr, v]
+    return total / (2.0 * math.log(2.0))
 
 
 def mi_loops(joint: FiniteDist, a, b, g=()) -> float:

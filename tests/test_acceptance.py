@@ -85,15 +85,22 @@ def test_criterion_2_derivatives():
         checked += 1
 
 
-@report(3, "cooperation cost is quadratic: log-log exponent in [1.9, 2.1]")
+@report(3, "cooperation cost is quadratic: ccf/alpha^2 matches kappa at alpha = 1e-4")
 def test_criterion_3_curvature():
     spec = cfd.make_bec_pair(0.5, c0=0.25)
     cd = cfd.bec_coding_dist(0.5, 0.5)
     pert, _ = cfd.find_direction(build_joint(spec, cd), base=cd)
     rep = cfd.ccf_curvature(spec, cd, pert)
-    assert 1.9 <= rep.loglog_slope <= 2.1
     ratios = [q for a, _, q in rep.points if a > 0]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+    # the erasure pair at its best re-erasure, along the certified direction
+    q, _ = cfd.bec_best_q(0.3, 0.25)
+    spec, cd = cfd.make_bec_pair(0.3, c0=0.25), cfd.bec_coding_dist(0.3, q)
+    curve = cfd.slope_curve(spec, cd, cfd.infinite_slope_verdict(spec, cd).direction, (1e-4,))
+    assert f"{curve.kappa:.6g}" == "1.78802"
+    ((alpha, ccf, _, _),) = curve.points
+    assert relative_gap(ccf / alpha**2, curve.kappa) <= 1e-4
 
     rng = np.random.default_rng(103)
     done = 0
@@ -102,9 +109,9 @@ def test_criterion_3_curvature():
         pert = random_direction(rng, spec, cd)
         if pert.is_zero:
             continue
-        rep = cfd.ccf_curvature(spec, cd, pert)
-        assert rep.loglog_slope is not None
-        assert 1.9 <= rep.loglog_slope <= 2.1
+        curve = cfd.slope_curve(spec, cd, pert, (1e-4,))
+        ((alpha, ccf, _, _),) = curve.points
+        assert relative_gap(ccf / alpha**2, curve.kappa) <= 1e-3
         done += 1
 
 

@@ -48,6 +48,8 @@ def test_bec_slope_sweep(tmp_path):
     assert report["verdict"]["verdict"] == "INFINITE_SLOPE_CERTIFIED"
     points = list(csv.reader(csv_path.open()))[1:]
     assert len(points) == len(report["curve"]["points"]) > 0
+    kappa = re.search(rf"kappa=({NUMBER})", out)
+    assert float(kappa.group(1)) == float(f"{report['curve']['kappa']:.6g}") > 0.0
 
 
 def test_diamond3_transfer(tmp_path):

@@ -318,7 +318,6 @@ def test_ccf_zero_at_alpha_zero_and_zero_direction():
     zero = Perturbation(np.zeros(cd.v_kernel.tensor.shape), cd)
     rep0 = ccf_curvature(spec, cd, zero, alphas=(1e-1, 1e-2, 1e-3))
     assert all(c == 0.0 for _, c, _ in rep0.points)
-    assert rep0.loglog_slope is None
 
 
 #: Schedules with an entry that is negative, NaN or infinite.
@@ -373,7 +372,8 @@ def test_ccf_curvature_quadratic_on_bec():
     rep = ccf_curvature(spec, cd, pert, alphas=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
     ratios = [q for _, _, q in rep.points]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
-    assert 1.9 <= rep.loglog_slope <= 2.1
+    kappa = slope_curve(spec, cd, pert, (1e-4,)).kappa
+    assert relative_gap(rep.points[-1][1] / 1e-4**2, kappa) <= 1e-3
 
 
 def test_ccf_curvature_empty_schedule_rejected():
@@ -734,18 +734,20 @@ def test_full_support_verdict_shares_one_view(monkeypatch):
 
 
 def relabelled(spec, cd, rng):
-    """The instance with the letters of U, X, Y1, Yr and V permuted."""
+    """The instance with the letters of U, X, Y1, Yr and V permuted, and the
+    index that moves a (u, x, y1, yr, v) array along with it."""
     u_a, x_a, y1_a, yr_a = cd.v_kernel.from_vars
     v_a = cd.v_kernel.to_vars[0]
     pu, px, py1, pyr, pv = (rng.permutation(a.size) for a in (u_a, x_a, y1_a, yr_a, v_a))
     rows = spec.broadcast.rows.reshape(x_a.size, yr_a.size, y1_a.size)[np.ix_(px, pyr, py1)]
     spec2 = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a),
                                                      rows.reshape(x_a.size, -1)), c0=spec.c0)
-    tensor = cd.v_kernel.tensor[np.ix_(pu, px, py1, pyr, pv)]
+    index = np.ix_(pu, px, py1, pyr, pv)
+    tensor = cd.v_kernel.tensor[index]
     cd2 = CodingDist(FiniteDist((u_a, x_a), cd.ux.pmf[np.ix_(pu, px)]),
                      CondKernel((u_a, x_a, y1_a, yr_a), (v_a,), tensor.reshape(-1, v_a.size)),
                      markov_form=True)
-    return spec2, cd2
+    return spec2, cd2, index
 
 
 @settings(max_examples=100, deadline=None)
@@ -756,12 +758,38 @@ def test_verdict_is_invariant_under_relabelling(seed):
     # are compared.
     spec, cd = zero_rich_instance(seed)
     got = infinite_slope_verdict(spec, cd)
-    moved = infinite_slope_verdict(*relabelled(spec, cd, np.random.default_rng([seed, 1])))
+    spec2, cd2, _ = relabelled(spec, cd, np.random.default_rng([seed, 1]))
+    moved = infinite_slope_verdict(spec2, cd2)
     assert moved.verdict == got.verdict
     assert abs(moved.lp_value - got.lp_value) <= 1e-12
     assert (moved.lambda_witness is None) == (got.lambda_witness is None)
     if got.lambda_witness is not None:
         assert abs(moved.lambda_witness[1] - got.lambda_witness[1]) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kappa_is_nonnegative_label_free_and_zero_on_markov_directions(seed):
+    spec, cd = zero_rich_instance(seed)
+    rng = np.random.default_rng([seed, 2])
+    pert = random_direction(rng, spec, cd)
+    kappa = slope_curve(spec, cd, pert, (0.0,)).kappa
+    assert kappa >= 0.0
+    spec2, cd2, index = relabelled(spec, cd, np.random.default_rng([seed, 1]))
+    moved = slope_curve(spec2, cd2, Perturbation(pert.r[index], cd2), (0.0,)).kappa
+    assert abs(moved - kappa) <= 1e-12 * kappa
+
+    # r(v | u, yr) on every supported tuple: q stays Markov, so no cost
+    tuple_p = build_joint(spec, cd).pmf.sum(axis=4)
+    mk = cd.v_kernel.tensor[:, 0, 0]
+    supp = mk > 1e-12
+    s = np.where(supp, rng.uniform(-1.0, 1.0, mk.shape), 0.0)
+    mean = s.sum(axis=-1, keepdims=True) / np.maximum(supp.sum(axis=-1, keepdims=True), 1)
+    s = np.where(supp, s - mean, 0.0)
+    markov = Perturbation(np.where((tuple_p > 1e-12)[..., None], s[:, None, None], 0.0), cd)
+    curve = slope_curve(spec, cd, markov, default_schedule(alpha_max(cd, markov)))
+    assert curve.kappa <= 1e-20  # zero up to the rounding of the (x, y1) average
+    assert all(ccf <= slope_module.config.CONFIG.tol_norm for _, ccf, _, _ in curve.points)
 
 
 def test_steps_agree_on_joint_and_view():
@@ -781,6 +809,43 @@ def test_steps_agree_on_joint_and_view():
         assert f_primes(joint, pert_j) == f_primes(view, pert_j)
 
 
+#: Broadcast rows over (yr, y1) and kernels p(v | yr) in which a tuple of
+#: probability near 5e-8 meets a letter of probability 3e-6: both factors
+#: exceed tol_supp, but the joint's cell, their product, does not. In the
+#: second, p(v | x, y1) at that cell is 3e-13, below tol_supp as well.
+KNIFE_EDGES = [
+    ([[0.5, 0.2, 0.2, 0.1], [0.4, 0.3, 0.3 - 9.2e-8, 9.2e-8]],
+     [[0.5, 0.3, 0.2], [0.3, 0.7 - 3e-6, 3e-6]]),
+    ([[0.5, 0.2, 0.2, 0.1], [0.25, 0.5 - 5e-8, 0.25, 5e-8]],
+     [[0.5, 0.5, 0.0], [0.3, 0.7 - 3e-6, 3e-6]]),
+]
+
+
+@pytest.mark.parametrize("rows, mk", KNIFE_EDGES)
+def test_certification_steps_share_one_support(rows, mk):
+    x_a, y1_a, yr_a = Alphabet("x", 2), Alphabet("y1", 2), Alphabet("yr", 2)
+    spec = RelayNetSpec(x_a, y1_a, yr_a, CondKernel((x_a,), (yr_a, y1_a), np.array(rows)),
+                        c0=0.4)
+    cd = markov_cd_from_rows(spec, [mk])
+    joint = build_joint(spec, cd)
+    p5 = joint.pmf
+    both = (p5.sum(axis=4) > 1e-12)[..., None] & (np.array(mk) > 1e-12)[None, None, None]
+    assert (both & (p5 <= 1e-12)).any()
+    v = infinite_slope_verdict(spec, cd)
+    assert v.verdict == VERDICT_CERTIFIED
+    assert abs(v.lp_value - min(v.f1_prime, v.f2_prime)) <= 1e-12
+    # the closed forms with unthresholded logs, on the cells the direction moves
+    moved = v.direction.r != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1, l_y1, l_yr = (np.log2(m / m.sum(axis=4, keepdims=True))
+                          for m in (p5.sum(axis=axes, keepdims=True)
+                                    for axes in (3, (1, 3), (1, 2))))
+        w = p5.sum(axis=4, keepdims=True) * v.direction.r
+        f1, f2 = (float((w * g)[moved].sum()) for g in (l1 - l_y1, l1 - l_yr))
+    assert abs(v.f1_prime - f1) <= 1e-12
+    assert abs(v.f2_prime - f2) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # slope curve
 # ---------------------------------------------------------------------------
@@ -794,7 +859,7 @@ def test_slope_curve_ratio_divergence_on_bec():
     assert by_alpha[1e-5] >= 10 * by_alpha[1e-1]
     ratios = [q for _, _, _, q in curve.points]
     assert all(b > a for a, b in zip(ratios[-4:], ratios[-3:]))
-    assert curve.monotone_from_alpha is not None
+    assert curve.kappa > 0.0
     # first-order cross-check at the smallest step
     a_min, _, delta, _ = curve.points[-1]
     assert relative_gap(delta / a_min, min(v.f1_prime, v.f2_prime), floor=1e-9) < 0.1
@@ -805,6 +870,7 @@ def test_slope_curve_zero_direction():
     zero = Perturbation(np.zeros(cd.v_kernel.tensor.shape), cd)
     curve = slope_curve(spec, cd, zero, alphas=(1e-1, 1e-2, 1e-3))
     assert all(c == 0.0 and d == 0.0 and q == 0.0 for _, c, d, q in curve.points)
+    assert curve.kappa == 0.0
 
 
 def test_slope_curve_schedule_beyond_alpha_max_raises():
