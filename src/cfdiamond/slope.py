@@ -28,18 +28,21 @@ exactly when some lambda in [0, 1] makes
     log p(v|u,x,y1) - lambda*log p(v|u,y1) - (1-lambda)*log p(v|u,yr)
 
 constant in v on the support of p(. | u, yr), for every supported tuple
-(u, x, y1, yr). Both sides reduce to minimising a convex, piecewise-linear
-function of lambda on [0, 1], which is done exactly: ``find_direction``
-minimises the LP's dual over lambda and assembles an optimal direction
-from the maximisers at the minimiser; ``check_lambda`` minimises the
-largest alignment deviation for the dual witness; ``infinite_slope_verdict``
-combines both with the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U),
-building the conditional and log tables they read once, as a ``JointView``.
+(u, x, y1, yr). One exact minimisation of a convex, piecewise-linear
+function of lambda on [0, 1] answers both sides: ``_dual_solve`` minimises
+the LP's dual over lambda, assembles an optimal direction from the
+maximisers at the minimiser lambda*, and reads the alignment deviation at
+lambda*. ``find_direction`` and ``check_lambda`` report its primal and dual
+witness; ``infinite_slope_verdict`` reads it once, after the strict
+precondition I(X;Y1,V|U) < I(X;Y1,Yr|U), building the conditional and log
+tables it needs once, as a ``JointView``. When neither witness passes its
+tolerance the verdict is INCONCLUSIVE.
 
 For channels with full support, ``deterministic_reduction`` builds the
 deterministic replacement W of V (connected components of the co-support
 graph per u) and verifies it preserves the rate terms, and
-``full_support_verdict`` returns the resulting dichotomy.
+``full_support_verdict`` returns the resulting dichotomy, from the same
+solve.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ DEFAULT_ALPHAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e
 VERDICT_CERTIFIED = "INFINITE_SLOPE_CERTIFIED"
 VERDICT_ALIGNED = "CONDITION_12_HOLDS"
 VERDICT_PRECONDITION = "PRECONDITION_FAILS"
+#: Neither witness passes its tolerance; also a ``full_support_verdict`` kind.
+VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
 REDUCTION_DETERMINISTIC = "DETERMINISTIC_REPLACEMENT"
 REDUCTION_INFINITE_SLOPE = "INFINITE_SLOPE"
@@ -461,41 +466,40 @@ def _pwl_argmin(evaluate: Callable[[float], tuple[float, float, Any]],
 
 
 # ---------------------------------------------------------------------------
-# Best direction (primal witness)
+# The direction LP and its dual, in one solve
 # ---------------------------------------------------------------------------
 
 
-def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
-                   ) -> tuple[Perturbation, float]:
-    """Best direction for max min(f1'(0), f2'(0)) over the unit box.
+def _dual_solve(view: JointView) -> tuple[float, float, np.ndarray, float]:
+    """Minimise the direction LP's dual g over lambda in [0, 1], once.
 
     The program: maximize t subject to f1'(r) >= t, f2'(r) >= t, zero sum
-    over v per conditioning tuple, r = 0 off support, and |r| <= 1
-    entrywise. The box only fixes the scale; the sign of the optimum t* is
-    what matters. A value above ``tol_lp`` certifies an improving direction.
+    over v per conditioning tuple, r = 0 off the view's free cells, and
+    |r| <= 1 entrywise. The box only fixes the scale; the sign of the
+    optimum t* is what matters. With f1' = a.r and f2' = b.r (a = p(tuple)
+    g1 and b = p(tuple) g2), t* = min over lambda of g(lambda) = max_r c.r
+    for c = lambda*a + (1-lambda)*b. The maximum splits by tuple: +1 on the
+    top floor(k/2) of the tuple's k free entries of c, -1 on the bottom
+    floor(k/2), so g is convex and piecewise linear and ``_pwl_argmin``
+    finds its minimiser lambda*. The direction is that maximiser at an end
+    of [0, 1], or else the mix of the maximisers on both sides of lambda*
+    that makes f1' = f2' (= t*).
 
-    With f1' = a.r and f2' = b.r (a = p(tuple) g1 and b = p(tuple) g2 from
-    the view, on its free coordinates), t* = min over lambda in [0, 1] of
-    g(lambda) = max_r c.r for c = lambda*a + (1-lambda)*b. The maximum
-    splits by tuple: +1 on the top floor(k/2) of the tuple's k free entries
-    of c, -1 on the bottom floor(k/2), so g is convex and piecewise linear
-    and ``_pwl_argmin`` finds its minimiser lambda*. The direction is that
-    maximiser at an end of [0, 1], or else the mix of the maximisers on
-    both sides of lambda* that makes f1' = f2' (= t*).
-
-    Returns the direction, as a ``Perturbation`` of ``base``, and t*.
-    Degenerate supports (no free coordinates) return the zero direction and
-    t* = 0.
+    c is p(tuple) times the alignment profile g2 + lambda*drift, so g is 0
+    exactly where every tuple's profile is constant: lambda* is also the
+    alignment witness. Returns (lambda*, t*, r, deviation): r the direction
+    as a canonical-order array, deviation the largest spread of g2 +
+    lambda*drift over the free letters of a tuple. Degenerate supports (no
+    free coordinates) give (0, 0, zero direction, 0).
     """
-    view = JointView.of(joint_base)
-    _require_markov_joint(view)
-    w = view.tuple_p[..., None]
     shape5 = view.free.shape
     nv = shape5[-1]
+    r = np.zeros(shape5)
     rows = np.flatnonzero(view.free.reshape(-1, nv).any(axis=1))
     if rows.size == 0:
-        return Perturbation(np.zeros(shape5), base), 0.0
+        return 0.0, 0.0, r, 0.0
 
+    w = view.tuple_p[..., None]
     free = view.free.reshape(-1, nv)[rows]
     a = np.where(free, (w * view.g1).reshape(-1, nv)[rows], 0.0)
     b = np.where(free, (w * view.g2).reshape(-1, nv)[rows], 0.0)
@@ -518,7 +522,7 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
         z[(order + at_row).ravel()] = sign.ravel()
         return float((c.ravel() * z).sum()), float((d.ravel() * z).sum()), z
 
-    _, _, lo, hi = _pwl_argmin(evaluate, evaluate(0.0, side=1.0), evaluate(1.0, side=-1.0))
+    lam, _, lo, hi = _pwl_argmin(evaluate, evaluate(0.0, side=1.0), evaluate(1.0, side=-1.0))
     if lo is hi:
         z = lo[2]
     else:
@@ -526,81 +530,35 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
         z = theta * lo[2] + (1.0 - theta) * hi[2]
     z = z.reshape(free.shape)
     t_star = min(float((a * z).sum()), float((b * z).sum()))
-    r = np.zeros(shape5)
     r.reshape(-1, nv)[rows] = z
+    profile = np.broadcast_to(view.g2 + lam * view.drift, shape5).reshape(-1, nv)[rows]
+    top = np.where(free, profile, -np.inf).max(axis=1)
+    return lam, t_star, r, float((top - np.where(free, profile, np.inf).min(axis=1)).max())
+
+
+def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
+                   ) -> tuple[Perturbation, float]:
+    """Best direction for max min(f1'(0), f2'(0)) over the unit box.
+
+    Returns the direction of ``_dual_solve``, as a ``Perturbation`` of
+    ``base``, and t*. A value above ``tol_lp`` certifies an improving
+    direction. The joint must be Markov: p(v | u, x, y1, yr) = p(v | u, yr)
+    on its support.
+    """
+    view = JointView.of(joint_base)
+    _require_markov_joint(view)
+    _, t_star, r, _ = _dual_solve(view)
     return Perturbation(r, base), t_star
 
 
-# ---------------------------------------------------------------------------
-# Exponential alignment (dual witness)
-# ---------------------------------------------------------------------------
-
-
-def _alignment_rows(joint: FiniteDist | JointView) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deviation profile d(v) = base + lambda*drift per supported tuple.
-
-    d(v) = log2 p(v|u,x,y1) - lambda*log2 p(v|u,y1) - (1-lambda)*log2 p(v|u,yr),
-    so base is the view's g2 and drift its drift table. Returns (base,
-    drift, free), one row per tuple (u, x, y1, yr) with at least two
-    free letters v; the other tuples have no spread.
-    """
-    view = JointView.of(joint)
-    nv = view.free.shape[-1]
-    free = view.free.reshape(-1, nv)
-    rows = np.flatnonzero(free.sum(axis=1) >= 2)
-    drift = np.broadcast_to(view.drift, view.free.shape)
-    return view.g2.reshape(-1, nv)[rows], drift.reshape(-1, nv)[rows], free[rows]
-
-
-def _min_deviation(base: np.ndarray, drift: np.ndarray, free: np.ndarray,
-                   stop: float = -np.inf) -> tuple[float, float]:
-    """Least (lambda, max deviation) over [0, 1] for ``_alignment_rows`` data.
-
-    The deviation max over rows of (max - min over free v of base +
-    lambda*drift) is convex and piecewise linear in lambda, and the
-    subgradient at lambda is the drift spread of the row and letters that
-    attain it. lambda = 0, then lambda = 1, is returned at once when its
-    deviation is at most ``stop``; otherwise the exact minimiser.
-    """
-    if base.shape[0] == 0:
-        return 0.0, 0.0
-    hi0 = np.where(free, base, -np.inf)
-    lo0 = np.where(free, base, np.inf)
-    drift = np.where(free, drift, 0.0)
-    idx = np.arange(base.shape[0])
-
-    def evaluate(lam: float):
-        hi = hi0 + lam * drift
-        lo = lo0 + lam * drift
-        top = hi.argmax(axis=1)
-        bot = lo.argmin(axis=1)
-        spread = hi[idx, top] - lo[idx, bot]
-        t = int(spread.argmax())
-        return float(spread[t]), float(drift[t, top[t]] - drift[t, bot[t]]), None
-
-    at0 = evaluate(0.0)
-    if at0[0] <= stop:
-        return 0.0, at0[0]
-    at1 = evaluate(1.0)
-    if at1[0] <= stop:
-        return 1.0, at1[0]
-    lam, at, _, _ = _pwl_argmin(evaluate, at0, at1)
-    return lam, at[0]
-
-
-def check_lambda(joint_base: FiniteDist | JointView,
-                 best: bool = False) -> tuple[float, float] | None:
+def check_lambda(joint_base: FiniteDist | JointView) -> tuple[float, float] | None:
     """Dual witness: a lambda certifying that no improving direction exists.
 
-    Tries lambda = 0, then lambda = 1, then the minimiser of the maximum
-    deviation; returns (lambda, max deviation) for the first within
-    ``tol_dev``, or None when the minimum exceeds it (by LP duality an
-    improving direction then exists). With ``best`` the least-deviation
-    pair is returned even when it fails ``tol_dev``.
+    Returns (lambda*, max deviation) from ``_dual_solve`` when the deviation
+    is within ``tol_dev``, else None.
     """
-    tol_dev = config.CONFIG.tol_dev
-    lam, dev = _min_deviation(*_alignment_rows(joint_base), stop=tol_dev)
-    return (lam, dev) if best or dev <= tol_dev else None
+    lam, _, _, dev = _dual_solve(JointView.of(joint_base))
+    return (lam, dev) if dev <= config.CONFIG.tol_dev else None
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +595,17 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
 
     PRECONDITION_FAILS: I(X;Y1,V|U) is not strictly below I(X;Y1,Yr|U),
     so raising f1 cannot raise the first bound.
-    CONDITION_12_HOLDS: an exponential-alignment witness exists; no
-    improving direction is available from this distribution.
-    INFINITE_SLOPE_CERTIFIED: the LP produced a direction whose re-verified
-    derivatives are both positive.
+    INFINITE_SLOPE_CERTIFIED: the LP value t* exceeds ``tol_lp`` and the
+    direction's re-verified derivatives both exceed ``tol_lp / 2``.
+    CONDITION_12_HOLDS: otherwise, when the dual minimiser lambda* is an
+    exponential-alignment witness within ``tol_dev``; no improving
+    direction is available from this distribution. lp_value reads 0: the
+    witness bounds t* by |V| // 2 times its deviation.
+    INCONCLUSIVE: neither; the report carries lambda*, its deviation and
+    t*, which sit between the two tolerances.
 
     The precondition evaluates only its two rate terms, and the steps after
-    it share one ``JointView`` of the joint.
+    it share one ``JointView`` of the joint and one ``_dual_solve``.
     """
     if not cd.markov_form:
         raise PreconditionError("verdict requires a Markov-form coding distribution")
@@ -654,17 +616,16 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     if not strict:
         return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
     view = JointView.of(joint)
-    lam, dev = check_lambda(view, best=True)
+    lam, t_star, r, dev = _dual_solve(view)
+    tol_lp = config.CONFIG.tol_lp
+    if t_star > tol_lp:
+        pert = Perturbation(r, cd)
+        f1p, f2p = f_primes(view, pert)
+        if min(f1p, f2p) > tol_lp / 2.0:
+            return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
     if dev <= config.CONFIG.tol_dev:
         return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
-    pert, t_star = find_direction(view, base=cd)
-    f1p, f2p = f_primes(view, pert)
-    tol_lp = config.CONFIG.tol_lp
-    if t_star > tol_lp and min(f1p, f2p) > tol_lp / 2.0:
-        return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
-    # Numerical gray zone: the LP found nothing usable, so report the least
-    # misaligned lambda (its deviation records how far the dual witness is).
-    return SlopeVerdict(VERDICT_ALIGNED, True, t_star, (lam, dev))
+    return SlopeVerdict(VERDICT_INCONCLUSIVE, True, t_star, (lam, dev))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -848,9 +809,12 @@ class ReductionVerdict:
 
 
 def full_support_verdict(spec: RelayNetSpec, cd: CodingDist) -> ReductionVerdict:
-    """Run the alignment check; reduce V to a deterministic W if it holds.
+    """Reduce V to a deterministic W when the dual solve finds alignment.
 
-    Requires every broadcast transition probability to be positive.
+    Reads one ``_dual_solve``: INFINITE_SLOPE when t* exceeds ``tol_lp``,
+    DETERMINISTIC_REPLACEMENT when lambda* is a witness within ``tol_dev``,
+    INCONCLUSIVE (with lambda* and its deviation) otherwise. Requires every
+    broadcast transition probability to be positive.
     """
     if float(spec.broadcast.rows.min()) <= config.CONFIG.tol_supp:
         flat = int(np.argmin(spec.broadcast.rows))
@@ -860,7 +824,9 @@ def full_support_verdict(spec: RelayNetSpec, cd: CodingDist) -> ReductionVerdict
     if not cd.markov_form:
         raise PreconditionError("reduction verdict requires a Markov-form coding distribution")
     view = JointView.of(build_joint(spec, cd))
-    witness = check_lambda(view)
-    if witness is None:
+    lam, t_star, _, dev = _dual_solve(view)
+    if t_star > config.CONFIG.tol_lp:
         return ReductionVerdict(REDUCTION_INFINITE_SLOPE, None, None)
-    return ReductionVerdict(REDUCTION_DETERMINISTIC, witness, deterministic_reduction(view))
+    if dev <= config.CONFIG.tol_dev:
+        return ReductionVerdict(REDUCTION_DETERMINISTIC, (lam, dev), deterministic_reduction(view))
+    return ReductionVerdict(VERDICT_INCONCLUSIVE, (lam, dev), None)

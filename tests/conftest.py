@@ -6,7 +6,9 @@ definition directly, ``shifted_terms`` rebuilds perturbed kernels by plain
 array arithmetic so derivative formulas can be checked against finite
 differences, ``reduction_by_kernel`` finds the components of the
 full-support reduction by depth-first search and composes W as a kernel,
-and ``reference_kappa`` sums the cost coefficient cell by cell.
+``reference_kappa`` sums the cost coefficient cell by cell, and
+``least_deviation`` minimises the largest alignment deviation itself,
+apart from the library's dual solve.
 """
 
 from __future__ import annotations
@@ -172,6 +174,50 @@ def reference_kappa(spec: RelayNetSpec, cd: CodingDist, pert: Perturbation) -> f
         rbar = sum(p * rv for p, rv in cells) / p_uyr
         total += sum(p * (rv - rbar) ** 2 for p, rv in cells) / mk[u, yr, v]
     return total / (2.0 * math.log(2.0))
+
+
+def least_deviation(joint: FiniteDist, stop: float = -np.inf) -> tuple[float, float]:
+    """Least (lambda, max deviation) over [0, 1] of the alignment profile
+    g2 + lambda*drift of a joint's view, per tuple with two or more free
+    letters.
+
+    The deviation, max over tuples of (max - min over free v), is convex and
+    piecewise linear in lambda, and the subgradient at lambda is the drift
+    spread of the tuple and letters that attain it. lambda = 0, then lambda
+    = 1, is returned at once when its deviation is at most ``stop``;
+    otherwise the exact minimiser, from ``slope._pwl_argmin``.
+    """
+    view = slope.JointView.of(joint)
+    nv = view.free.shape[-1]
+    free = view.free.reshape(-1, nv)
+    rows = np.flatnonzero(free.sum(axis=1) >= 2)
+    if rows.size == 0:
+        return 0.0, 0.0
+    free = free[rows]
+    base = view.g2.reshape(-1, nv)[rows]
+    drift = np.broadcast_to(view.drift, view.free.shape).reshape(-1, nv)[rows]
+    hi0 = np.where(free, base, -np.inf)
+    lo0 = np.where(free, base, np.inf)
+    drift = np.where(free, drift, 0.0)
+    idx = np.arange(rows.size)
+
+    def evaluate(lam: float):
+        hi = hi0 + lam * drift
+        lo = lo0 + lam * drift
+        top = hi.argmax(axis=1)
+        bot = lo.argmin(axis=1)
+        spread = hi[idx, top] - lo[idx, bot]
+        t = int(spread.argmax())
+        return float(spread[t]), float(drift[t, top[t]] - drift[t, bot[t]]), None
+
+    at0 = evaluate(0.0)
+    if at0[0] <= stop:
+        return 0.0, at0[0]
+    at1 = evaluate(1.0)
+    if at1[0] <= stop:
+        return 1.0, at1[0]
+    lam, at, _, _ = slope._pwl_argmin(evaluate, at0, at1)
+    return lam, at[0]
 
 
 def mi_loops(joint: FiniteDist, a, b, g=()) -> float:

@@ -23,6 +23,7 @@ from cfdiamond.slope import (
     SlopeVerdict,
     VERDICT_ALIGNED,
     VERDICT_CERTIFIED,
+    VERDICT_INCONCLUSIVE,
     VERDICT_PRECONDITION,
     REDUCTION_DETERMINISTIC,
     REDUCTION_INFINITE_SLOPE,
@@ -38,9 +39,8 @@ from cfdiamond.slope import (
     perturb,
     slope_curve,
     validate_against_joint,
-    _alignment_rows,
     _components,
-    _min_deviation,
+    _dual_solve,
 )
 from cfdiamond.zoo import ModAddParams, bec_coding_dist, make_bec_pair, make_modadd, \
     modadd_capacity, modadd_coding_dist
@@ -49,6 +49,7 @@ from conftest import (
     central_difference,
     components_dfs,
     count_calls,
+    least_deviation,
     rand_pmf,
     random_direction,
     random_markov_instance,
@@ -461,19 +462,25 @@ def test_duality_consistency_sample():
 
 
 @pytest.mark.parametrize("lam0", [0.137, 0.5, 0.861])
-def test_min_deviation_finds_interior_lambda(lam0):
-    # base = -lam0*drift + a per-row constant: every row is constant in v at
-    # lam0 and only there. Unsupported entries hold junk the search must skip.
+def test_dual_solve_finds_interior_lambda(lam0):
+    # g2 = -lam0*drift + a per-row constant: every row is constant in v at
+    # lam0 and only there. Unsupported entries hold junk the solve must skip.
+    # The rows are the tuples of a hand-built view, with g1 = g2 + drift.
     rng = np.random.default_rng(31)
     rows, nv = 40, 5
     free = rng.random((rows, nv)) < 0.7
     free[:, :2] = True
     drift = np.where(free, rng.normal(0.0, 3.0, (rows, nv)), 1e6)
     const = rng.normal(0.0, 10.0, (rows, 1))
-    base = np.where(free, -lam0 * drift + const, -1e6)
-    lam, dev = _min_deviation(base, drift, free)
+    g2 = np.where(free, -lam0 * drift + const, -1e6)
+    shape = (1, rows, 1, 1, nv)
+    view = JointView(None, rng.uniform(0.5, 1.5, shape[:4]), free.reshape(shape), None,
+                     (g2 + drift).reshape(shape), g2.reshape(shape), drift.reshape(shape))
+    lam, t_star, r, dev = _dual_solve(view)
     assert lam == pytest.approx(lam0, abs=1e-9)
     assert dev <= 1e-12
+    assert abs(t_star) <= 1e-12
+    assert not r[~view.free].any()
 
 
 def _log_cond(m, tol=1e-12):
@@ -497,17 +504,26 @@ def _grid_deviation(joint, lams):
     return spread.reshape(len(lams), -1).max(axis=1, initial=0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_min_deviation_beats_every_grid_point(seed, full_support):
-    rng = np.random.default_rng(seed)
-    spec, cd = random_markov_instance(rng, max_size=3, full_support=full_support)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["zero_rich", "dense", "sparse"]))
+def test_verdict_reads_one_dual_solve(seed, kind):
+    # Strong duality: outside INCONCLUSIVE, exactly one of the two witnesses
+    # passes its tolerance, and the verdict names it.
+    if kind == "zero_rich":
+        spec, cd = zero_rich_instance(seed)
+    else:
+        rng = np.random.default_rng(seed)
+        spec, cd = random_markov_instance(rng, max_size=3, full_support=kind == "dense")
     joint = build_joint(spec, cd)
-    lam, dev = _min_deviation(*_alignment_rows(joint))
+    lam, t_star, _, dev = _dual_solve(JointView.of(joint))
     assert 0.0 <= lam <= 1.0
-    grid = np.linspace(0.0, 1.0, 1001)
-    assert dev <= _grid_deviation(joint, grid).min() + 1e-12
     assert dev == pytest.approx(_grid_deviation(joint, [lam])[0], abs=1e-12)
+    v = infinite_slope_verdict(spec, cd)
+    if v.verdict in (VERDICT_PRECONDITION, VERDICT_INCONCLUSIVE):
+        return
+    tol = slope_module.config.CONFIG
+    assert (dev <= tol.tol_dev) != (t_star > tol.tol_lp)
+    assert v.verdict == (VERDICT_CERTIFIED if t_star > tol.tol_lp else VERDICT_ALIGNED)
 
 
 def _linprog_value(joint, cd):
@@ -605,6 +621,58 @@ def test_verdict_modadd_optimal_certified():
     assert v.verdict == VERDICT_CERTIFIED
 
 
+def with_broadcast(spec, rows):
+    return RelayNetSpec(spec.x_alphabet, spec.y1_alphabet, spec.yr_alphabet,
+                        CondKernel(spec.broadcast.from_vars, spec.broadcast.to_vars, rows),
+                        c0=spec.c0)
+
+
+def moved_off_alignment(spec, eps):
+    """The aligned spec with eps of p(y1=0, yr=f(0, 0) | x=0) moved to the
+    next yr letter: one tuple of probability near eps breaks the alignment."""
+    rows = spec.broadcast.rows.copy()
+    grid = rows[0].reshape(spec.yr_alphabet.size, spec.y1_alphabet.size)
+    yr = int(np.flatnonzero(grid[:, 0])[0])
+    grid[yr, 0] -= eps
+    grid[(yr + 1) % spec.yr_alphabet.size, 0] += eps
+    rows[0] = grid.ravel()
+    return with_broadcast(spec, rows)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verdict_gray_zone_is_inconclusive(seed):
+    # At eps = 1e-10 the least alignment deviation is 0.74 to 1.21 and t* is
+    # near 8e-11: neither witness passes its tolerance, so the verdict may
+    # claim neither certificate.
+    spec, cd = sized_instance(np.random.default_rng(seed), (1, 3, 3, 3, 3), aligned=True)
+    tol = slope_module.config.CONFIG
+    for eps in (1e-6, 1e-8):
+        assert infinite_slope_verdict(moved_off_alignment(spec, eps), cd).verdict == \
+            VERDICT_CERTIFIED
+    gray = moved_off_alignment(spec, 1e-10)
+    v = infinite_slope_verdict(gray, cd)
+    assert v.verdict == VERDICT_INCONCLUSIVE
+    assert 0.0 < v.lp_value <= tol.tol_lp
+    assert v.lambda_witness[1] > tol.tol_dev
+    assert v.direction is None
+    assert least_deviation(build_joint(gray, cd))[1] > 0.5  # no lambda is a witness
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_support_and_slope_verdicts_agree_in_the_gray_zone(seed):
+    # Every broadcast entry raised by 1e-11: full support, t* between 5e-11
+    # and 3e-10, and no alignment witness. Both verdicts read one solve by
+    # one rule, so they agree.
+    spec, cd = sized_instance(np.random.default_rng(seed), (1, 3, 3, 3, 3), aligned=True)
+    rows = spec.broadcast.rows + 1e-11
+    spec = with_broadcast(spec, rows / rows.sum(axis=1, keepdims=True))
+    v = infinite_slope_verdict(spec, cd)
+    rv = full_support_verdict(spec, cd)
+    assert v.verdict == rv.kind == VERDICT_INCONCLUSIVE
+    assert v.lambda_witness == rv.lambda_witness
+    assert rv.reduction is None
+
+
 # ---------------------------------------------------------------------------
 # one view per verdict
 # ---------------------------------------------------------------------------
@@ -635,28 +703,33 @@ def sized_instance(rng, sizes, aligned=False, floor=0.1):
 
 def reference_verdict(spec, cd):
     """The verdict as every step once computed it: all nine rate terms for
-    the precondition, and each step building its own tables from the joint."""
+    the precondition, each step building its own tables from the joint, and
+    the alignment witness from its own least-deviation search."""
     joint = build_joint(spec, cd)
     _, _, _, terms = rate_bounds(joint, spec.c0)
     if not terms["I(X;Y1,Yr|U)"] - terms["I(X;Y1,V|U)"] > slope_module.config.CONFIG.tol_norm:
         return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
-    lam, dev = check_lambda(joint, best=True)
-    if dev <= slope_module.config.CONFIG.tol_dev:
+    tol_dev = slope_module.config.CONFIG.tol_dev
+    lam, dev = least_deviation(joint, stop=tol_dev)
+    if dev <= tol_dev:
         return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
     pert, t_star = find_direction(joint, base=cd)
     f1p, f2p = f_primes(joint, pert)
     tol_lp = slope_module.config.CONFIG.tol_lp
     if t_star > tol_lp and min(f1p, f2p) > tol_lp / 2.0:
         return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
-    return SlopeVerdict(VERDICT_ALIGNED, True, t_star, (lam, dev))
+    return SlopeVerdict(VERDICT_INCONCLUSIVE, True, t_star, (lam, dev))
 
 
 def outcome(fn, *args):
-    """The verdict's JSON text, or the error it raised."""
+    """The verdict's JSON text less the alignment witness, and the witness;
+    or the error it raised."""
     try:
-        return json.dumps(fn(*args).to_json_dict())
+        report = fn(*args).to_json_dict()
     except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", None
+    witness = report.pop("lambda_witness")
+    return json.dumps(report), witness
 
 
 LADDER_SIZES = ((2, 4, 4, 4, 4), (2, 6, 6, 6, 6), (3, 6, 6, 6, 6), (3, 8, 8, 8, 8))
@@ -689,8 +762,21 @@ def test_verdict_precondition_fails_like_reference():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_verdict_matches_reference_with_zeros(seed):
+    # Where alignment holds on an interval of lambda, the dual solve and the
+    # reference's search may report different points of it; and in the
+    # gray zone the solve's lambda* need not be the least misaligned. So
+    # the witness is checked by its deviation.
     spec, cd = zero_rich_instance(seed)
-    assert outcome(infinite_slope_verdict, spec, cd) == outcome(reference_verdict, spec, cd)
+    got, witness = outcome(infinite_slope_verdict, spec, cd)
+    want, ref_witness = outcome(reference_verdict, spec, cd)
+    assert got == want
+    assert (witness is None) == (ref_witness is None)
+    if witness is not None:
+        lam, dev = witness["lambda"], witness["max_deviation"]
+        assert dev == pytest.approx(_grid_deviation(build_joint(spec, cd), [lam])[0], abs=1e-12)
+        assert dev >= ref_witness["max_deviation"] - 1e-12
+        if json.loads(got)["verdict"] == VERDICT_ALIGNED:
+            assert dev <= slope_module.config.CONFIG.tol_dev
 
 
 @settings(max_examples=80, deadline=None)
@@ -700,26 +786,27 @@ def test_direction_value_is_bounded_by_alignment_deviation(seed):
     # lambda, g(lambda) = max_r c.r adds, per tuple, p(tuple) times the sum of
     # the top half minus the bottom half of the tuple's deviation profile, at
     # most |V| // 2 times its spread. So t* = min g <= g(lambda*) is at most
-    # |V| // 2 times the least deviation check_lambda finds.
+    # |V| // 2 times the least deviation, found apart from the dual solve.
     spec, cd = zero_rich_instance(seed)
     view = JointView.of(build_joint(spec, cd))
     _, t_star = find_direction(view, base=cd)
-    _, dev = check_lambda(view, best=True)
+    _, dev = least_deviation(view)
     assert t_star <= (cd.v_kernel.rows.shape[1] // 2) * dev + 1e-10
 
 
 @pytest.mark.parametrize("kind, expect", [
     ("dense", {"mutual_information": 0, "entropy": 6, "conditional_table": 3,
-               "check_lambda": 1, "find_direction": 1, "f_primes": 1}),
+               "_pwl_argmin": 1, "Perturbation": 1, "f_primes": 1}),
     ("aligned", {"mutual_information": 0, "entropy": 6, "conditional_table": 3,
-                 "check_lambda": 1, "find_direction": 0, "f_primes": 0}),
+                 "_pwl_argmin": 1, "Perturbation": 0, "f_primes": 0}),
 ])
 def test_verdict_work_is_pinned(monkeypatch, kind, expect):
+    # one dual solve per verdict, and a direction only when it certifies
     spec, cd = sized_instance(np.random.default_rng(43), (2, 4, 4, 4, 4),
                               aligned=kind == "aligned")
     counts = count_calls(monkeypatch, {
         probcore: ("mutual_information", "entropy", "conditional_table"),
-        slope_module: ("check_lambda", "find_direction", "f_primes")})
+        slope_module: ("_pwl_argmin", "Perturbation", "f_primes")})
     verdict = infinite_slope_verdict(spec, cd)
     assert verdict.verdict == (VERDICT_CERTIFIED if kind == "dense" else VERDICT_ALIGNED)
     assert counts == expect
@@ -727,10 +814,12 @@ def test_verdict_work_is_pinned(monkeypatch, kind, expect):
 
 def test_full_support_verdict_shares_one_view(monkeypatch):
     spec = make_modadd(ModAddParams(0.1, 0.1, 0.2))
-    counts = count_calls(monkeypatch, {probcore: ("conditional_table",)})
+    counts = count_calls(monkeypatch, {probcore: ("conditional_table",),
+                                       slope_module: ("_pwl_argmin",)})
     rv = full_support_verdict(spec, modadd_coding_dist(np.eye(2)))
     assert rv.kind == REDUCTION_DETERMINISTIC
-    assert counts == {"conditional_table": 3}  # one view for both steps
+    # one view for both steps, one dual solve
+    assert counts == {"conditional_table": 3, "_pwl_argmin": 1}
 
 
 def relabelled(spec, cd, rng):
@@ -800,7 +889,6 @@ def test_steps_agree_on_joint_and_view():
         shuffled = probcore.reorder(joint, ("v", "yr", "u", "y1", "x"))
         view = JointView.of(shuffled)
         assert JointView.of(view) is view
-        assert check_lambda(joint, best=True) == check_lambda(view, best=True)
         assert check_lambda(joint) == check_lambda(view)
         pert_j, t_j = find_direction(joint, base=cd)
         pert_v, t_v = find_direction(view, base=cd)
