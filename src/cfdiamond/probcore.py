@@ -315,16 +315,20 @@ def _check_disjoint(*groups: tuple[str, ...]) -> None:
 
 
 def _marginal_array(d: FiniteDist, names: tuple[str, ...]) -> np.ndarray:
-    """Marginal pmf on ``names``, axes ordered as requested."""
+    """Marginal pmf on ``names``, axes ordered as requested.
+
+    Names in the joint's axis order need no transpose, so the reduced
+    array is returned as it is.
+    """
     keep = d.axes(names)
-    kept = set(keep)
+    kept = sorted(set(keep))
     if len(kept) != len(keep):
         raise ValueError(f"repeated variable in subset: {names}")
     other = tuple(i for i in range(d.pmf.ndim) if i not in kept)
     arr = d.pmf.sum(axis=other) if other else d.pmf
-    kept_in_order = sorted(kept)
-    perm = tuple(kept_in_order.index(a) for a in keep)
-    return arr.transpose(perm)
+    if tuple(kept) == keep:
+        return arr
+    return arr.transpose(tuple(kept.index(a) for a in keep))
 
 
 # ---------------------------------------------------------------------------

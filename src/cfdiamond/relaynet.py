@@ -47,7 +47,6 @@ from .probcore import (
     PreconditionError,
     SchemaError,
     _is_json_number,
-    compose,
     mi_from_entropies,
     reorder,
 )
@@ -223,16 +222,23 @@ class RateReport:
 
 
 def build_joint(spec: RelayNetSpec, cd: CodingDist) -> FiniteDist:
-    """Exact product joint over (u, x, y1, yr, v) of the three factors."""
+    """Exact product joint over (u, x, y1, yr, v) of the three factors.
+
+    It is one broadcast product in ``CANON_ORDER``,
+    (p(u,x) p(yr,y1|x)) p(v|u,x,y1,yr), each entry multiplied in the order
+    ``compose`` multiplies it, so the pmf equals
+    ``reorder(compose(compose(ux, broadcast), v_kernel), CANON_ORDER)`` bit
+    for bit.
+    """
     if cd.x_alphabet != spec.x_alphabet:
         raise SchemaError("x alphabet differs between spec and coding distribution")
     for name, alpha in ((Y1, spec.y1_alphabet), (YR, spec.yr_alphabet)):
         k_alpha = cd.v_kernel.from_vars[(U, X, Y1, YR).index(name)]
         if k_alpha != alpha:
             raise SchemaError(f"alphabet mismatch on {name!r} between spec and coding distribution")
-    j = compose(cd.ux, spec.broadcast)
-    j = compose(j, cd.v_kernel)
-    return reorder(j, CANON_ORDER)
+    uxy = cd.ux.pmf[:, :, None, None] * spec.broadcast.tensor.transpose(0, 2, 1)
+    return FiniteDist(cd.ux.variables + (spec.y1_alphabet, spec.yr_alphabet)
+                      + cd.v_kernel.to_vars, uxy[..., None] * cd.v_kernel.tensor)
 
 
 class RateTerms(dict):
@@ -262,7 +268,9 @@ class RateTerms(dict):
 
 def mi_terms(joint: FiniteDist) -> dict[str, float]:
     """Every mutual-information term used by the rate bounds, in bits."""
-    t = RateTerms(reorder(joint, CANON_ORDER))
+    if joint.names != CANON_ORDER:
+        joint = reorder(joint, CANON_ORDER)
+    t = RateTerms(joint)
     return {name: t[name] for name in TERM_NAMES}
 
 

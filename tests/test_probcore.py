@@ -22,6 +22,7 @@ from cfdiamond.probcore import (
     compose,
     condition,
     conditional_entropy,
+    conditional_table,
     entropy,
     entropy_letters_first,
     entropy_terms,
@@ -512,3 +513,65 @@ def test_entropy_is_the_same_for_every_order_of_the_names():
                 assert all(entropy(d, perm) == want for perm in itertools.permutations(subset))
         want = mutual_information(d, ("a", "c"), "e", ("b", "d"))
         assert mutual_information(d, "e", ("c", "a"), ("d", "b")) == want
+
+
+# ---------------------------------------------------------------------------
+# marginals on a permuted joint: names in axis order and out of it
+# ---------------------------------------------------------------------------
+
+
+def numpy_marginal(d, names):
+    """Marginal on ``names`` by moving their axes to the front and summing
+    the rest, apart from the library's reduction."""
+    axes = [d.names.index(n) for n in names]
+    moved = np.moveaxis(d.pmf, axes, range(len(axes)))
+    return moved.sum(axis=tuple(range(len(axes), d.pmf.ndim)))
+
+
+def permuted_joint():
+    """A zero-rich joint that ``reorder`` has permuted out of its declared order."""
+    rng = np.random.default_rng(12)
+    sizes = (2, 3, 4, 2)
+    pmf = rng.random(sizes) ** 3 * (rng.random(sizes) > 0.3)
+    d = FiniteDist(tuple(Alphabet(n, k) for n, k in zip("abcd", sizes)), pmf / pmf.sum())
+    return reorder(d, ("c", "a", "d", "b"))
+
+
+def test_marginals_of_a_permuted_joint_match_numpy():
+    d = permuted_joint()
+    tol = config.CONFIG.tol_supp
+    in_order = 0
+    for k in range(1, 5):
+        for subset in itertools.combinations(d.names, k):  # in axis order
+            in_order += 1
+            want_h = entropy(d, subset)
+            for names in itertools.permutations(subset):
+                p = numpy_marginal(d, names).ravel()
+                p = p[p > tol]
+                assert entropy(d, names) == want_h  # the same bits in every order
+                assert want_h == pytest.approx(-(p * np.log2(p)).sum(), rel=1e-12, abs=1e-15)
+                for split in range(1, k):
+                    given, target = names[:split], names[split:]
+                    marg = numpy_marginal(d, given + target)
+                    mass = marg.sum(axis=tuple(range(split, k)), keepdims=True)
+                    want = np.divide(marg, mass, out=np.zeros_like(marg), where=mass > tol)
+                    got = conditional_table(d, target, given)
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert in_order == 15
+
+
+def test_marginal_name_errors_are_unchanged():
+    d = permuted_joint()
+    for names in (("c", "c"), ("a", "a"), ("c", "d", "c")):
+        with pytest.raises(ValueError, match=r"repeated variable in subset: \('"):
+            entropy(d, names)
+    for names in (("c", "zz"), ("zz", "c"), ("zz",)):
+        with pytest.raises(ValueError, match="unknown variable name 'zz'"):
+            entropy(d, names)
+        with pytest.raises(ValueError, match="unknown variable name 'zz'"):
+            conditional_table(d, "a", names)
+    with pytest.raises(ValueError, match="repeated variable within a subset"):
+        conditional_table(d, ("c", "c"), "a")
+    with pytest.raises(ValueError, match="overlapping variable subsets"):
+        conditional_table(d, "c", ("c", "d"))

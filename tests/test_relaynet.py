@@ -10,6 +10,7 @@ from cfdiamond.probcore import (
     InfeasibleError,
     PreconditionError,
     SchemaError,
+    compose,
     mutual_information,
     reorder,
 )
@@ -26,11 +27,13 @@ from cfdiamond.relaynet import (
     mi_terms,
     pdcf_reduction_residuals,
 )
+from cfdiamond.slope import alpha_max, perturb
 from cfdiamond.zoo import bec_coding_dist, bec_rate, make_bec_pair
 from conftest import (
     count_calls,
     mi_loops,
     rand_pmf,
+    random_direction,
     random_markov_instance,
     shift_entropies,
     zero_rich_instance,
@@ -119,6 +122,58 @@ def test_build_joint_alphabet_mismatch():
     with pytest.raises(SchemaError):
         build_joint(spec, cd)
     assert build_joint(other, cd).pmf.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def composed_joint(spec, cd):
+    """The joint built by the two compositions and the reorder, the oracle
+    for ``build_joint``'s one product."""
+    return reorder(compose(compose(cd.ux, spec.broadcast), cd.v_kernel), CANON_ORDER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("dense", "sparse", "zero-rich")), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_build_joint_is_the_composed_joint_bit_for_bit(kind, perturbed, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "zero-rich":
+        spec, cd = zero_rich_instance(seed)
+    else:
+        spec, cd = random_markov_instance(rng, max_size=4, full_support=kind == "dense")
+    if perturbed:  # a general (non-Markov) compression channel
+        pert = random_direction(rng, spec, cd)
+        if not pert.is_zero:
+            cd = perturb(cd, pert, float(rng.uniform(0.05, 0.5)) * alpha_max(cd, pert))
+    got, want = build_joint(spec, cd), composed_joint(spec, cd)
+    assert got.variables == want.variables
+    assert got.pmf.tobytes() == want.pmf.tobytes()
+
+
+@pytest.mark.parametrize("name", ["x", "y1", "yr"])
+def test_build_joint_rejects_each_alphabet_mismatch(name):
+    # same sizes, other labels: only the alphabet check can catch it
+    spec, cd = random_markov_instance(np.random.default_rng(5))
+    alphas = {a.name: a for a in (spec.x_alphabet, spec.y1_alphabet, spec.yr_alphabet)}
+    old = alphas[name]
+    alphas[name] = Alphabet(name, old.size, tuple(f"{name}{i}" for i in range(old.size)))
+    broadcast = CondKernel((alphas["x"],), (alphas["yr"], alphas["y1"]), spec.broadcast.rows)
+    other = RelayNetSpec(alphas["x"], alphas["y1"], alphas["yr"], broadcast, c0=spec.c0)
+    with pytest.raises(SchemaError, match="x alphabet" if name == "x" else repr(name)):
+        build_joint(other, cd)
+
+
+def test_cf_rate_builds_one_joint_and_no_composition(monkeypatch):
+    spec, cd = random_markov_instance(np.random.default_rng(16))
+    counts = count_calls(monkeypatch, {probcore: ("compose", "reorder")})
+    counts["FiniteDist"] = 0
+    post_init = FiniteDist.__post_init__
+
+    def counted(self):
+        counts["FiniteDist"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(FiniteDist, "__post_init__", counted)
+    eval_cf_rate(spec, cd)
+    assert counts == {"compose": 0, "reorder": 0, "FiniteDist": 1}
 
 
 # ---------------------------------------------------------------------------
