@@ -18,6 +18,7 @@ from .probcore import (
     condition,
     conditional_entropy,
     conditional_table,
+    entropies,
     entropy,
     marginalize,
     mutual_information,

@@ -279,9 +279,19 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], csv_text: str | Non
         sys.stdout.write(data)
 
 
+def _log_level() -> int:
+    """The logging level that CFD_LOG_LEVEL names, WARNING when it is unset."""
+    name = os.environ.get("CFD_LOG_LEVEL", "WARNING").upper()
+    level = logging.getLevelName(name)
+    if not isinstance(level, int):
+        raise SchemaError(f"CFD_LOG_LEVEL {name!r} is not a logging level; "
+                          "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    return level
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("CFD_LOG_LEVEL", "WARNING").upper())
     try:
+        logging.basicConfig(level=_log_level())
         args = _build_parser().parse_args(argv)
         overrides = {k: v for k, v in vars(args).items() if k.startswith("tol_") and v is not None}
         with config.temporary_tolerances(**overrides):

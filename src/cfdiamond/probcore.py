@@ -28,6 +28,7 @@ from __future__ import annotations
 import string
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -314,17 +315,24 @@ def _check_disjoint(*groups: tuple[str, ...]) -> None:
         seen |= set(g)
 
 
+def _subset_axes(d: FiniteDist, names: tuple[str, ...]
+                 ) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
+    """The axes of ``names`` as requested, the same axes sorted, and the
+    axes summed out to leave their marginal."""
+    keep = d.axes(names)
+    kept = sorted(set(keep))
+    if len(kept) != len(keep):
+        raise ValueError(f"repeated variable in subset: {names}")
+    return keep, kept, tuple(i for i in range(d.pmf.ndim) if i not in kept)
+
+
 def _marginal_array(d: FiniteDist, names: tuple[str, ...]) -> np.ndarray:
     """Marginal pmf on ``names``, axes ordered as requested.
 
     Names in the joint's axis order need no transpose, so the reduced
     array is returned as it is.
     """
-    keep = d.axes(names)
-    kept = sorted(set(keep))
-    if len(kept) != len(keep):
-        raise ValueError(f"repeated variable in subset: {names}")
-    other = tuple(i for i in range(d.pmf.ndim) if i not in kept)
+    keep, kept, other = _subset_axes(d, names)
     arr = d.pmf.sum(axis=other) if other else d.pmf
     if tuple(kept) == keep:
         return arr
@@ -385,6 +393,42 @@ def entropy(d: FiniteDist, vars: Any = None) -> float:
     if not names:
         return 0.0
     return _h_bits(_marginal_array(d, names))
+
+
+def marginal_entropies(pmf: np.ndarray, reductions: Sequence[tuple[int, ...]]) -> list[float]:
+    """Entropies in bits of the marginals of a C-contiguous float ``pmf``
+    (as a ``FiniteDist`` holds it) that sum out each tuple of axes in
+    ``reductions``, in one pass.
+
+    Each marginal is summed from ``pmf`` in memory order, as ``entropy``
+    sums it. The ``tol_supp`` mask, the log2 and the product are taken once
+    over all marginals together, and each marginal's terms are summed on
+    their own, pairwise as ``_h_bits`` sums them, so every entropy equals
+    ``entropy``'s bit for bit. Summing out every axis leaves the empty
+    marginal, whose entropy is 0.0.
+    """
+    if not reductions:
+        return []
+    flats = [np.add.reduce(pmf, axis=r).ravel() if r else pmf.ravel() for r in reductions]
+    joined = np.concatenate(flats)
+    keep = joined > config.CONFIG.tol_supp
+    ends = np.cumsum(keep).take([n - 1 for n in accumulate(f.size for f in flats)]).tolist()
+    p = joined[keep]
+    terms = p * np.log2(p)
+    out, start = [], 0
+    for end, r in zip(ends, reductions):
+        out.append(-float(np.add.reduce(terms[start:end]))
+                   if end > start and len(r) < pmf.ndim else 0.0)
+        start = end
+    return out
+
+
+def entropies(d: FiniteDist, subsets: Sequence[Any]) -> list[float]:
+    """``[entropy(d, s) for s in subsets]`` bit for bit, through one
+    ``marginal_entropies`` pass. Each subset is named as in ``entropy``,
+    and an unknown or repeated name raises the error ``entropy`` raises."""
+    return marginal_entropies(d.pmf, [_subset_axes(d, _as_names(s) if s is not None
+                                                   else d.names)[2] for s in subsets])
 
 
 def conditional_entropy(d: FiniteDist, target: Any, given: Any) -> float:

@@ -84,6 +84,13 @@ def _canonical(*groups: Any) -> tuple[str, ...]:
 #: ``CANON_ORDER``, so that terms sharing a subset share its key.
 _TERM_SUBSETS = {name: (_canonical(a, g), _canonical(b, g), _canonical(a, b, g), _canonical(g))
                  for name, (a, b, g) in _TERM_ARGS.items()}
+#: The 14 distinct non-empty subsets of the terms' entropies, in the order
+#: the terms first read them, and the axes of a ``CANON_ORDER`` joint that
+#: each sums out.
+_ENTROPY_SUBSETS = tuple(dict.fromkeys(s for subsets in _TERM_SUBSETS.values()
+                                       for s in subsets if s))
+_ENTROPY_REDUCTIONS = tuple(tuple(i for i, n in enumerate(CANON_ORDER) if n not in s)
+                            for s in _ENTROPY_SUBSETS)
 
 
 def _json_real(value: Any, field: str) -> float:
@@ -267,11 +274,17 @@ class RateTerms(dict):
 
 
 def mi_terms(joint: FiniteDist) -> dict[str, float]:
-    """Every mutual-information term used by the rate bounds, in bits."""
+    """Every mutual-information term used by the rate bounds, in bits.
+
+    The 14 entropies are taken in one ``probcore.marginal_entropies`` pass
+    and combined term by term as ``RateTerms`` combines them, so each term
+    equals ``mutual_information(joint, *_TERM_ARGS[name])`` bit for bit.
+    """
     if joint.names != CANON_ORDER:
         joint = reorder(joint, CANON_ORDER)
-    t = RateTerms(joint)
-    return {name: t[name] for name in TERM_NAMES}
+    h = dict(zip(_ENTROPY_SUBSETS, probcore.marginal_entropies(joint.pmf, _ENTROPY_REDUCTIONS)))
+    h[()] = 0.0
+    return {name: mi_from_entropies(*(h[s] for s in _TERM_SUBSETS[name])) for name in TERM_NAMES}
 
 
 def bounds_from_terms(t: dict[str, float], c0: float) -> tuple[float, float, float]:
@@ -302,11 +315,11 @@ def eval_cf_rate(spec: RelayNetSpec, cd: CodingDist) -> RateReport:
 def eval_pdcf(spec: RelayNetSpec, cd: CodingDist) -> float:
     """Classical PD/CF rate (no cooperation) at a Markov-form distribution.
 
-    Only the five terms the two bounds read are evaluated.
+    The two bounds read five of the terms of ``mi_terms``.
     """
     if not cd.markov_form:
         raise PreconditionError("PD/CF evaluation requires a Markov-form coding distribution")
-    t = RateTerms(build_joint(spec, cd))
+    t = mi_terms(build_joint(spec, cd))
     first = t["I(U;Yr)"] + t["I(X;Y1,V|U)"]
     second = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
               + spec.c0 - t["I(Yr;V|U,X,Y1)"])
@@ -322,10 +335,10 @@ def pdcf_reduction_residuals(spec: RelayNetSpec, cd: CodingDist) -> tuple[float,
 
     Both vanish (within tolerance) in Markov form. The function also accepts
     non-Markov distributions so callers can observe the residuals break; it
-    reports, it never asserts. Only the five terms the residuals read are
-    evaluated.
+    reports, it never asserts. The residuals read five of the terms of
+    ``mi_terms``.
     """
-    t = RateTerms(build_joint(spec, cd))
+    t = mi_terms(build_joint(spec, cd))
     first = abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"])
     second = abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"]))
     return first, second

@@ -111,6 +111,14 @@ def zero_rich_instance(seed: int) -> tuple[RelayNetSpec, CodingDist]:
     return spec, cd
 
 
+def sample_joint(kind: str, seed: int) -> FiniteDist:
+    """A dense, zero-rich or random Markov joint from the generators above."""
+    if kind == "zero-rich":
+        return build_joint(*zero_rich_instance(seed))
+    rng = np.random.default_rng(seed)
+    return build_joint(*random_markov_instance(rng, full_support=kind == "dense"))
+
+
 def random_direction(rng: np.random.Generator, spec: RelayNetSpec,
                      cd: CodingDist) -> Perturbation:
     """A valid random direction: zero-sum rows, zero off support, peak 1."""
@@ -304,14 +312,33 @@ def reduction_by_kernel(joint: FiniteDist) -> dict:
 
 
 def shift_entropies(monkeypatch, scale: float) -> None:
-    """Add scale * (number of variables)**2 to every ``probcore.entropy``.
+    """Add scale * (number of variables)**2 to every entropy that
+    ``probcore.entropy`` and ``probcore.marginal_entropies`` return, so to
+    every entropy a rate term reads.
 
     I(a; b | g) then moves by -2 * scale * |a| * |b|, which forces a
     negative raw value on independent variables.
     """
-    exact = probcore.entropy
+    exact, exact_pass = probcore.entropy, probcore.marginal_entropies
     monkeypatch.setattr(probcore, "entropy", lambda d, vars=None:
                         exact(d, vars) + scale * len(probcore._as_names(vars)) ** 2)
+    monkeypatch.setattr(probcore, "marginal_entropies", lambda pmf, reductions: [
+        h + scale * (pmf.ndim - len(r)) ** 2
+        for h, r in zip(exact_pass(pmf, reductions), reductions)])
+
+
+def record_entropy_passes(monkeypatch) -> list[int]:
+    """The number of marginals in each ``probcore.marginal_entropies`` pass,
+    in call order, filled in as the passes run."""
+    sizes = []
+    exact_pass = probcore.marginal_entropies
+
+    def recorded(pmf, reductions):
+        sizes.append(len(reductions))
+        return exact_pass(pmf, reductions)
+
+    monkeypatch.setattr(probcore, "marginal_entropies", recorded)
+    return sizes
 
 
 def relative_gap(a: float, b: float, floor: float = 1e-6) -> float:

@@ -21,6 +21,7 @@ from cfdiamond.diamond3 import CoopCurve
 from cfdiamond.probcore import SchemaError
 from cfdiamond.relaynet import CodingDist, RelayNetSpec
 from cfdiamond.zoo import bec_coding_dist, make_bec_pair
+from conftest import shift_entropies
 
 
 @pytest.fixture()
@@ -240,11 +241,7 @@ def test_report_with_nan_is_refused_not_written(tmp_path, monkeypatch, capsys):
 
 
 def test_negative_mutual_information_is_an_infeasible_error(tmp_path, monkeypatch, capsys):
-    from cfdiamond import probcore
-    exact = probcore.entropy
-    # every I(a; b | g) moves by -2 |a| |b| bits, far below -tol_norm
-    monkeypatch.setattr(probcore, "entropy", lambda d, vars=None:
-                        exact(d, vars) + len(probcore._as_names(vars)) ** 2)
+    shift_entropies(monkeypatch, 1.0)  # every I(a; b | g) moves by -2 |a| |b| bits
     out = tmp_path / "report.json"
     code = main(["--out", str(out), "example", "bec", "eval-pdcf",
                  "--p", "0.5", "--q", "0.5", "--c0", "0.25"])
@@ -254,6 +251,13 @@ def test_negative_mutual_information_is_an_infeasible_error(tmp_path, monkeypatc
     assert len(lines) == 1 and lines[0].startswith("error: infeasible: "), captured.err
     assert "mutual information" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["bogus", "10", ""])
+def test_unknown_log_level_is_a_schema_error(monkeypatch, capsys, level):
+    monkeypatch.setenv("CFD_LOG_LEVEL", level)
+    code = main(["example", "bec", "eval-pdcf", "--p", "0.5", "--q", "0.5", "--c0", "0.25"])
+    assert_one_schema_error(code, capsys, names="CFD_LOG_LEVEL")
 
 
 def test_bec_lambda_check_tiny_q_exits_ok(tmp_path):

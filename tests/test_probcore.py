@@ -23,14 +23,16 @@ from cfdiamond.probcore import (
     condition,
     conditional_entropy,
     conditional_table,
+    entropies,
     entropy,
     entropy_letters_first,
     entropy_terms,
+    marginal_entropies,
     marginalize,
     mutual_information,
     reorder,
 )
-from conftest import rand_pmf, shift_entropies
+from conftest import rand_pmf, sample_joint, shift_entropies
 
 
 def dist(*pairs):
@@ -139,6 +141,59 @@ def test_entropy_unknown_variable():
     d = dist(("a", 2), [0.5, 0.5])
     with pytest.raises(ValueError, match="unknown variable"):
         entropy(d, "nope")
+
+
+# ---------------------------------------------------------------------------
+# entropies: several marginals of one joint in one pass
+# ---------------------------------------------------------------------------
+
+JOINT_NAMES = ("u", "x", "y1", "yr", "v")
+#: A subset as ``entropy`` takes it: None (every name), one name, or a
+#: tuple of distinct names in any order, the empty tuple included.
+subset_strategy = st.one_of(st.none(), st.sampled_from(JOINT_NAMES),
+                            st.lists(st.sampled_from(JOINT_NAMES), unique=True).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("dense", "zero-rich", "random")), st.integers(0, 2**32 - 1),
+       st.lists(subset_strategy, min_size=1, max_size=16), st.permutations(JOINT_NAMES))
+def test_entropies_equal_each_entropy_bit_for_bit(kind, seed, subsets, order):
+    joint = sample_joint(kind, seed)
+    for d in (joint, reorder(joint, order)):  # names in and out of axis order
+        for batch in (subsets, subsets[:1], subsets + subsets[:1]):  # one; a repeat
+            assert [h.hex() for h in entropies(d, batch)] == [entropy(d, s).hex()
+                                                               for s in batch]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("dense", "zero-rich", "random")), st.integers(0, 2**32 - 1),
+       st.lists(subset_strategy, max_size=6), st.data())
+def test_entropies_raise_the_error_entropy_raises(kind, seed, subsets, data):
+    d = sample_joint(kind, seed)
+    names = list(data.draw(st.lists(st.sampled_from(JOINT_NAMES), min_size=1, unique=True)))
+    at = data.draw(st.integers(0, len(names)))
+    if data.draw(st.booleans()):
+        names.insert(at, "zz")  # unknown
+    else:
+        names.insert(at, data.draw(st.sampled_from(names)))  # repeated within the subset
+    batch = subsets + [tuple(names)] + subsets
+    with pytest.raises(ValueError) as want:
+        [entropy(d, s) for s in batch]
+    with pytest.raises(ValueError) as got:
+        entropies(d, batch)
+    assert str(got.value) == str(want.value)
+
+
+def test_entropies_keep_the_tol_supp_rule():
+    # at tol_supp = 0.3 neither the joint nor its marginal on a has an entry
+    # above it, and the marginal on b has two
+    d = dist(("a", 4), ("b", 2), [0.15, 0.1, 0.15, 0.1, 0.1, 0.15, 0.1, 0.15])
+    subsets = ["a", "b", ("a", "b"), (), None]
+    with config.temporary_tolerances(tol_supp=0.3):
+        want = [entropy(d, s) for s in subsets]
+        assert want == [0.0, 1.0, 0.0, 0.0, 0.0]
+        assert [h.hex() for h in entropies(d, subsets)] == [h.hex() for h in want]
+    assert entropies(d, []) == [] and marginal_entropies(d.pmf, []) == []
 
 
 # ---------------------------------------------------------------------------

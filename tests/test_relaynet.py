@@ -35,6 +35,8 @@ from conftest import (
     rand_pmf,
     random_direction,
     random_markov_instance,
+    record_entropy_passes,
+    sample_joint,
     shift_entropies,
     zero_rich_instance,
 )
@@ -348,10 +350,11 @@ def test_reduction_residual_breaks_off_markov():
     assert r1 > 1e-6
 
 
-# non-empty entropies: 11 of the 14 that mi_terms takes; term by term the
-# five terms would take 18 and 20
+# the five terms read 11 of the 14 entropies, but one pass over all 14
+# costs less than 11 separate entropies; term by term they would take 18
+# and 20
 @pytest.mark.parametrize("evaluate", [eval_pdcf, pdcf_reduction_residuals])
-def test_pdcf_evaluators_compute_only_the_terms_they_read(monkeypatch, evaluate):
+def test_pdcf_evaluators_take_one_entropy_pass(monkeypatch, evaluate):
     spec, cd = random_markov_instance(np.random.default_rng(16))
     t = mi_terms(build_joint(spec, cd))
     if evaluate is eval_pdcf:
@@ -362,8 +365,10 @@ def test_pdcf_evaluators_compute_only_the_terms_they_read(monkeypatch, evaluate)
         want = (abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"]),
                 abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"])))
     counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
+    passes = record_entropy_passes(monkeypatch)
     assert evaluate(spec, cd) == want  # the same terms, bit for bit
-    assert counts == {"mutual_information": 0, "entropy": 11}
+    assert counts == {"mutual_information": 0, "entropy": 0}
+    assert passes == [14]
 
 
 def test_data_processing_inequality_markov():
@@ -377,14 +382,6 @@ def test_data_processing_inequality_markov():
 # ---------------------------------------------------------------------------
 # RateTerms: each term computed when read, entropies shared between terms
 # ---------------------------------------------------------------------------
-
-
-def sample_joint(kind, seed):
-    """A dense, zero-rich or random Markov joint from the shared generators."""
-    if kind == "zero-rich":
-        return build_joint(*zero_rich_instance(seed))
-    rng = np.random.default_rng(seed)
-    return build_joint(*random_markov_instance(rng, full_support=kind == "dense"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,10 +409,13 @@ def test_rate_terms_keep_the_tol_norm_rule(monkeypatch):
         assert [table[name] for name in zero_terms] == [0.0, 0.0]
         assert {name: table[name] for name in TERM_NAMES} == {
             name: mutual_information(joint, *_TERM_ARGS[name]) for name in TERM_NAMES}
+        assert mi_terms(joint) == table  # the one-pass entropies shift alike
     shift_entropies(monkeypatch, 1e-6)
     for name in zero_terms:
         with pytest.raises(InfeasibleError, match="tol_norm"):
             RateTerms(joint)[name]
+    with pytest.raises(InfeasibleError, match="tol_norm"):
+        mi_terms(joint)
 
 
 def test_rate_terms_compute_each_term_once(monkeypatch):
@@ -438,9 +438,12 @@ def test_rate_terms_compute_each_term_once(monkeypatch):
 def test_mi_terms_take_each_entropy_once(monkeypatch):
     joint = build_joint(*random_markov_instance(np.random.default_rng(16)))
     counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
+    passes = record_entropy_passes(monkeypatch)
     mi_terms(joint)
-    # 14 distinct non-empty subsets; term by term the nine terms take 34
-    assert counts == {"mutual_information": 0, "entropy": 14}
+    # one pass over the 14 distinct non-empty subsets; term by term the
+    # nine terms take 34 entropies
+    assert counts == {"mutual_information": 0, "entropy": 0}
+    assert passes == [14]
 
 
 # ---------------------------------------------------------------------------

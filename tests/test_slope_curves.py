@@ -33,7 +33,13 @@ from cfdiamond.slope import (
     slope_curve,
 )
 from cfdiamond.zoo import bec_coding_dist, make_bec_pair
-from conftest import count_calls, random_markov_instance, reference_kappa, relative_gap
+from conftest import (
+    count_calls,
+    random_markov_instance,
+    record_entropy_passes,
+    reference_kappa,
+    relative_gap,
+)
 
 #: Absolute agreement of ccf and of the rate gain with the reference.
 CURVE_TOL = 1e-12
@@ -122,10 +128,12 @@ def test_slope_curve_entropy_work_is_pinned(monkeypatch):
     _, spec, cd, pert = CASES[0]
     alphas = tuple(alpha_max(cd, pert) / 2 ** k for k in range(2, 10))
     counts = count_calls(monkeypatch, {probcore: ("mutual_information", "entropy")})
+    passes = record_entropy_passes(monkeypatch)
     slope_curve(spec, cd, pert, alphas)
-    # 14 for the base's nine terms, then 10 for the four V terms per step;
-    # term by term the 8 steps take 162
-    assert counts == {"mutual_information": 0, "entropy": 14 + 8 * 10}
+    # one pass of 14 for the base's nine terms, then 10 entropies for the
+    # four V terms per step; term by term the 8 steps take 162
+    assert passes == [14]
+    assert counts == {"mutual_information": 0, "entropy": 8 * 10}
 
 
 @pytest.mark.parametrize("tag, spec, cd, pert", CASES, ids=[c[0] for c in CASES])
