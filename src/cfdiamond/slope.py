@@ -30,12 +30,13 @@ exactly when some lambda in [0, 1] makes
 constant in v on the support of p(. | u, yr), for every supported tuple
 (u, x, y1, yr). One exact minimisation of a convex, piecewise-linear
 function of lambda on [0, 1] answers both sides: ``_dual_solve`` minimises
-the LP's dual over lambda, assembles an optimal direction from the
-maximisers at the minimiser lambda*, and reads the alignment deviation at
-lambda*. ``find_direction`` and ``check_lambda`` report its primal and dual
-witness; ``infinite_slope_verdict`` reads it once, after the strict
-precondition I(X;Y1,V|U) < I(X;Y1,Yr|U), building the conditional and log
-tables it needs once, as a ``JointView``. When neither witness passes its
+the LP's dual over lambda and assembles an optimal direction from the
+maximisers at the minimiser lambda*, and ``_deviation`` reads the alignment
+deviation at lambda*. ``find_direction`` and ``check_lambda`` report its
+primal and dual witness; ``infinite_slope_verdict`` reads it once, after
+the strict precondition I(X;Y1,V|U) < I(X;Y1,Yr|U), building the
+conditional and log tables it needs once, as a ``JointView``, and reads the
+deviation only where it reports it. When neither witness passes its
 tolerance the verdict is INCONCLUSIVE.
 
 For channels with full support, ``deterministic_reduction`` builds the
@@ -53,27 +54,24 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import config
+from . import config, probcore
 from .probcore import (
     FiniteDist,
     Alphabet,
     CondKernel,
     InfeasibleError,
     PreconditionError,
-    conditional_table,
+    mi_from_entropies,
     reorder,
 )
 from .relaynet import (
+    _TERM_SUBSETS,
     CANON_ORDER,
     NO_V_TERMS,
     CodingDist,
     RateTerms,
     RelayNetSpec,
-    U,
     V,
-    X,
-    Y1,
-    YR,
     bounds_from_terms,
     build_joint,
     markov_kernel,
@@ -300,6 +298,11 @@ class JointView:
     g2 + lambda * drift. ``check_lambda``, ``find_direction``, ``f_primes``
     and ``deterministic_reduction`` accept a view in place of a joint, so a
     caller that runs several of them builds the tables once.
+
+    Each conditional table is its marginal of the joint divided by that
+    marginal's sum over v, on the entries whose sum exceeds ``tol_supp``
+    and zero elsewhere: the sums and division of ``conditional_table``, so
+    the tables equal its tables bit for bit.
     """
 
     joint: FiniteDist
@@ -318,9 +321,8 @@ class JointView:
         joint = reorder(joint, CANON_ORDER)
         tol = config.CONFIG.tol_supp
         p5 = joint.pmf
-        pv_uxy1 = conditional_table(joint, V, (U, X, Y1))
-        pv_uy1 = conditional_table(joint, V, (U, Y1))
-        pv_uyr = conditional_table(joint, V, (U, YR))
+        pv_uxy1, pv_uy1, pv_uyr = (_given_rest(p5.sum(axis=summed), tol)
+                                   for summed in (3, (1, 3), (1, 2)))
         with np.errstate(divide="ignore"):
             l_uxy1, l_uy1, l_uyr = (np.where(t > 0.0, np.log2(t), 0.0)
                                     for t in (pv_uxy1, pv_uy1, pv_uyr))
@@ -330,6 +332,15 @@ class JointView:
         free = (tuple_p > tol)[..., None] & (pv_uyr > tol)[:, None, None, :, :]
         return JointView(joint, tuple_p, free, pv_uyr,
                          l1 - l_uy1, l1 - l_uyr, l_uyr - l_uy1)
+
+
+def _given_rest(marginal: np.ndarray, tol: float) -> np.ndarray:
+    """p(v | rest) from a marginal whose last axis is v; zero where the
+    rest carries no more than ``tol``."""
+    mass = marginal.sum(axis=-1, keepdims=True)
+    out = np.zeros_like(marginal)
+    np.divide(marginal, mass, out=out, where=mass > tol)
+    return out
 
 
 def _require_markov_joint(view: JointView) -> None:
@@ -470,7 +481,7 @@ def _pwl_argmin(evaluate: Callable[[float], tuple[float, float, Any]],
 # ---------------------------------------------------------------------------
 
 
-def _dual_solve(view: JointView) -> tuple[float, float, np.ndarray, float]:
+def _dual_solve(view: JointView) -> tuple[float, float, np.ndarray]:
     """Minimise the direction LP's dual g over lambda in [0, 1], once.
 
     The program: maximize t subject to f1'(r) >= t, f2'(r) >= t, zero sum
@@ -487,17 +498,16 @@ def _dual_solve(view: JointView) -> tuple[float, float, np.ndarray, float]:
 
     c is p(tuple) times the alignment profile g2 + lambda*drift, so g is 0
     exactly where every tuple's profile is constant: lambda* is also the
-    alignment witness. Returns (lambda*, t*, r, deviation): r the direction
-    as a canonical-order array, deviation the largest spread of g2 +
-    lambda*drift over the free letters of a tuple. Degenerate supports (no
-    free coordinates) give (0, 0, zero direction, 0).
+    alignment witness, whose deviation ``_deviation`` reads. Returns
+    (lambda*, t*, r), r the direction as a canonical-order array.
+    Degenerate supports (no free coordinates) give (0, 0, zero direction).
     """
     shape5 = view.free.shape
     nv = shape5[-1]
     r = np.zeros(shape5)
     rows = np.flatnonzero(view.free.reshape(-1, nv).any(axis=1))
     if rows.size == 0:
-        return 0.0, 0.0, r, 0.0
+        return 0.0, 0.0, r
 
     w = view.tuple_p[..., None]
     free = view.free.reshape(-1, nv)[rows]
@@ -531,9 +541,21 @@ def _dual_solve(view: JointView) -> tuple[float, float, np.ndarray, float]:
     z = z.reshape(free.shape)
     t_star = min(float((a * z).sum()), float((b * z).sum()))
     r.reshape(-1, nv)[rows] = z
+    return lam, t_star, r
+
+
+def _deviation(view: JointView, lam: float) -> float:
+    """The alignment deviation at lambda: the largest spread of g2 +
+    lambda*drift over the free letters of a tuple; 0 with no free letter."""
+    shape5 = view.free.shape
+    nv = shape5[-1]
+    rows = np.flatnonzero(view.free.reshape(-1, nv).any(axis=1))
+    if rows.size == 0:
+        return 0.0
+    free = view.free.reshape(-1, nv)[rows]
     profile = np.broadcast_to(view.g2 + lam * view.drift, shape5).reshape(-1, nv)[rows]
     top = np.where(free, profile, -np.inf).max(axis=1)
-    return lam, t_star, r, float((top - np.where(free, profile, np.inf).min(axis=1)).max())
+    return float((top - np.where(free, profile, np.inf).min(axis=1)).max())
 
 
 def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
@@ -547,7 +569,7 @@ def find_direction(joint_base: FiniteDist | JointView, base: CodingDist
     """
     view = JointView.of(joint_base)
     _require_markov_joint(view)
-    _, t_star, r, _ = _dual_solve(view)
+    _, t_star, r = _dual_solve(view)
     return Perturbation(r, base), t_star
 
 
@@ -557,13 +579,42 @@ def check_lambda(joint_base: FiniteDist | JointView) -> tuple[float, float] | No
     Returns (lambda*, max deviation) from ``_dual_solve`` when the deviation
     is within ``tol_dev``, else None.
     """
-    lam, _, _, dev = _dual_solve(JointView.of(joint_base))
+    view = JointView.of(joint_base)
+    lam = _dual_solve(view)[0]
+    dev = _deviation(view, lam)
     return (lam, dev) if dev <= config.CONFIG.tol_dev else None
 
 
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
+
+#: The terms of the verdict's precondition and of the reduction's residuals.
+_PRECONDITION_TERMS = ("I(X;Y1,Yr|U)", "I(X;Y1,V|U)")
+_REDUCTION_TERMS = ("I(X;Y1,V|U)", "I(Yr;V|U,X,Y1)")
+
+
+def _entropy_pass(names: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], ...],
+                                                   tuple[tuple[int, ...], ...]]:
+    """The distinct entropy subsets of the terms ``names`` and the axes of
+    a ``CANON_ORDER`` joint that each sums out."""
+    subsets = tuple(dict.fromkeys(s for name in names for s in _TERM_SUBSETS[name]))
+    return subsets, tuple(tuple(i for i, n in enumerate(CANON_ORDER) if n not in s)
+                          for s in subsets)
+
+
+#: The entropy pass of each group of terms read together.
+_TERM_PASSES = {names: _entropy_pass(names) for names in (_PRECONDITION_TERMS, _REDUCTION_TERMS)}
+
+
+def _read_terms(pmf: np.ndarray, names: tuple[str, ...]) -> list[float]:
+    """The terms ``names`` of a canonical-order joint's pmf, from one
+    ``probcore.marginal_entropies`` pass over their distinct entropies,
+    each combined by ``mi_from_entropies`` as ``RateTerms`` combines it, so
+    every value equals the ``RateTerms`` value bit for bit."""
+    subsets, reductions = _TERM_PASSES[names]
+    h = dict(zip(subsets, probcore.marginal_entropies(pmf, reductions)))
+    return [mi_from_entropies(*(h[s] for s in _TERM_SUBSETS[name])) for name in names]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -604,25 +655,26 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     INCONCLUSIVE: neither; the report carries lambda*, its deviation and
     t*, which sit between the two tolerances.
 
-    The precondition evaluates only its two rate terms, and the steps after
-    it share one ``JointView`` of the joint and one ``_dual_solve``.
+    The precondition takes the entropies of its two rate terms in one pass,
+    and the steps after it share one ``JointView`` of the joint and one
+    ``_dual_solve``; the deviation at lambda* is read only when reported.
     """
     if not cd.markov_form:
         raise PreconditionError("verdict requires a Markov-form coding distribution")
     joint = build_joint(spec, cd)
-    terms = RateTerms(joint)
-    gap = terms["I(X;Y1,Yr|U)"] - terms["I(X;Y1,V|U)"]
-    strict = gap > config.CONFIG.tol_norm
+    i_yr, i_v = _read_terms(joint.pmf, _PRECONDITION_TERMS)
+    strict = i_yr - i_v > config.CONFIG.tol_norm
     if not strict:
         return SlopeVerdict(VERDICT_PRECONDITION, False, 0.0, None)
     view = JointView.of(joint)
-    lam, t_star, r, dev = _dual_solve(view)
+    lam, t_star, r = _dual_solve(view)
     tol_lp = config.CONFIG.tol_lp
     if t_star > tol_lp:
         pert = Perturbation(r, cd)
         f1p, f2p = f_primes(view, pert)
         if min(f1p, f2p) > tol_lp / 2.0:
             return SlopeVerdict(VERDICT_CERTIFIED, True, t_star, None, pert, f1p, f2p)
+    dev = _deviation(view, lam)
     if dev <= config.CONFIG.tol_dev:
         return SlopeVerdict(VERDICT_ALIGNED, True, 0.0, (lam, dev))
     return SlopeVerdict(VERDICT_INCONCLUSIVE, True, t_star, (lam, dev))
@@ -760,9 +812,9 @@ def deterministic_reduction(joint_base: FiniteDist | JointView) -> ReductionResu
     broadcast channel has full support and the alignment condition holds;
     the result carries numerical residuals for I(X;Y1,W|U) = I(X;Y1,V|U)
     and for the compression penalty inequality, read from the rate terms of
-    the joint and of the joint with V's letters merged into W's. It reads
-    the joint, p(u, x, y1, yr) and p(v | u, yr) of a ``JointView``, so a
-    caller can share one view.
+    the joint and of the joint with V's letters merged into W's, one entropy
+    pass per joint. It reads the joint, p(u, x, y1, yr) and p(v | u, yr) of
+    a ``JointView``, so a caller can share one view.
     """
     view = JointView.of(joint_base)
     joint, tuple_p, pv_uyr = view.joint, view.tuple_p, view.pv_uyr
@@ -785,10 +837,8 @@ def deterministic_reduction(joint_base: FiniteDist | JointView) -> ReductionResu
     merge = (w_of_v[..., None] == np.arange(num_components)).astype(float)
     merged = FiniteDist(joint.variables[:4] + (Alphabet(V, num_components),),
                         np.einsum("uxyrv,uvw->uxyrw", joint.pmf, merge))
-    t_v, t_w = RateTerms(joint), RateTerms(merged)
-    return ReductionResult(w_of_v, w_of_yr, num_components,
-                           abs(t_v["I(X;Y1,V|U)"] - t_w["I(X;Y1,V|U)"]),
-                           t_v["I(Yr;V|U,X,Y1)"] - t_w["I(Yr;V|U,X,Y1)"])
+    (i_v, pen_v), (i_w, pen_w) = (_read_terms(j.pmf, _REDUCTION_TERMS) for j in (joint, merged))
+    return ReductionResult(w_of_v, w_of_yr, num_components, abs(i_v - i_w), pen_v - pen_w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -824,9 +874,10 @@ def full_support_verdict(spec: RelayNetSpec, cd: CodingDist) -> ReductionVerdict
     if not cd.markov_form:
         raise PreconditionError("reduction verdict requires a Markov-form coding distribution")
     view = JointView.of(build_joint(spec, cd))
-    lam, t_star, _, dev = _dual_solve(view)
+    lam, t_star, _ = _dual_solve(view)
     if t_star > config.CONFIG.tol_lp:
         return ReductionVerdict(REDUCTION_INFINITE_SLOPE, None, None)
+    dev = _deviation(view, lam)
     if dev <= config.CONFIG.tol_dev:
         return ReductionVerdict(REDUCTION_DETERMINISTIC, (lam, dev), deterministic_reduction(view))
     return ReductionVerdict(VERDICT_INCONCLUSIVE, (lam, dev), None)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -15,7 +16,15 @@ from cfdiamond.probcore import (
     mutual_information,
 )
 from cfdiamond import slope as slope_module
-from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint, mi_terms, rate_bounds
+from cfdiamond.relaynet import (
+    CANON_ORDER,
+    CodingDist,
+    RateTerms,
+    RelayNetSpec,
+    build_joint,
+    mi_terms,
+    rate_bounds,
+)
 from cfdiamond.slope import (
     AlphaRangeError,
     JointView,
@@ -40,6 +49,7 @@ from cfdiamond.slope import (
     slope_curve,
     validate_against_joint,
     _components,
+    _deviation,
     _dual_solve,
 )
 from cfdiamond.zoo import ModAddParams, bec_coding_dist, make_bec_pair, make_modadd, \
@@ -53,6 +63,7 @@ from conftest import (
     rand_pmf,
     random_direction,
     random_markov_instance,
+    record_entropy_passes,
     reduction_by_kernel,
     relative_gap,
     zero_rich_instance,
@@ -476,9 +487,9 @@ def test_dual_solve_finds_interior_lambda(lam0):
     shape = (1, rows, 1, 1, nv)
     view = JointView(None, rng.uniform(0.5, 1.5, shape[:4]), free.reshape(shape), None,
                      (g2 + drift).reshape(shape), g2.reshape(shape), drift.reshape(shape))
-    lam, t_star, r, dev = _dual_solve(view)
+    lam, t_star, r = _dual_solve(view)
     assert lam == pytest.approx(lam0, abs=1e-9)
-    assert dev <= 1e-12
+    assert _deviation(view, lam) <= 1e-12
     assert abs(t_star) <= 1e-12
     assert not r[~view.free].any()
 
@@ -515,7 +526,9 @@ def test_verdict_reads_one_dual_solve(seed, kind):
         rng = np.random.default_rng(seed)
         spec, cd = random_markov_instance(rng, max_size=3, full_support=kind == "dense")
     joint = build_joint(spec, cd)
-    lam, t_star, _, dev = _dual_solve(JointView.of(joint))
+    view = JointView.of(joint)
+    lam, t_star, _ = _dual_solve(view)
+    dev = _deviation(view, lam)
     assert 0.0 <= lam <= 1.0
     assert dev == pytest.approx(_grid_deviation(joint, [lam])[0], abs=1e-12)
     v = infinite_slope_verdict(spec, cd)
@@ -795,31 +808,39 @@ def test_direction_value_is_bounded_by_alignment_deviation(seed):
 
 
 @pytest.mark.parametrize("kind, expect", [
-    ("dense", {"mutual_information": 0, "entropy": 6, "conditional_table": 3,
-               "_pwl_argmin": 1, "Perturbation": 1, "f_primes": 1}),
-    ("aligned", {"mutual_information": 0, "entropy": 6, "conditional_table": 3,
-                 "_pwl_argmin": 1, "Perturbation": 0, "f_primes": 0}),
+    ("dense", {"mutual_information": 0, "entropy": 0, "conditional_table": 0, "_given_rest": 3,
+               "_pwl_argmin": 1, "Perturbation": 1, "f_primes": 1, "_deviation": 0}),
+    ("aligned", {"mutual_information": 0, "entropy": 0, "conditional_table": 0, "_given_rest": 3,
+                 "_pwl_argmin": 1, "Perturbation": 0, "f_primes": 0, "_deviation": 1}),
 ])
 def test_verdict_work_is_pinned(monkeypatch, kind, expect):
-    # one dual solve per verdict, and a direction only when it certifies
+    # one entropy pass of the precondition's 6 subsets, one view (3 tables),
+    # one dual solve per verdict, a direction only when it certifies, and
+    # the deviation only when it is reported
     spec, cd = sized_instance(np.random.default_rng(43), (2, 4, 4, 4, 4),
                               aligned=kind == "aligned")
+    passes = record_entropy_passes(monkeypatch)
     counts = count_calls(monkeypatch, {
         probcore: ("mutual_information", "entropy", "conditional_table"),
-        slope_module: ("_pwl_argmin", "Perturbation", "f_primes")})
+        slope_module: ("_given_rest", "_pwl_argmin", "Perturbation", "f_primes", "_deviation")})
     verdict = infinite_slope_verdict(spec, cd)
     assert verdict.verdict == (VERDICT_CERTIFIED if kind == "dense" else VERDICT_ALIGNED)
     assert counts == expect
+    assert passes == [6]
 
 
 def test_full_support_verdict_shares_one_view(monkeypatch):
     spec = make_modadd(ModAddParams(0.1, 0.1, 0.2))
+    passes = record_entropy_passes(monkeypatch)
     counts = count_calls(monkeypatch, {probcore: ("conditional_table",),
-                                       slope_module: ("_pwl_argmin",)})
+                                       slope_module: ("_given_rest", "_pwl_argmin", "_deviation")})
     rv = full_support_verdict(spec, modadd_coding_dist(np.eye(2)))
     assert rv.kind == REDUCTION_DETERMINISTIC
-    # one view for both steps, one dual solve
-    assert counts == {"conditional_table": 3, "_pwl_argmin": 1}
+    # one view (3 tables) for both steps, one dual solve, the reported
+    # deviation read once, and one entropy pass per joint of the reduction
+    assert counts == {"conditional_table": 0, "_given_rest": 3, "_pwl_argmin": 1,
+                      "_deviation": 1}
+    assert passes == [7, 7]
 
 
 def relabelled(spec, cd, rng):
@@ -895,6 +916,102 @@ def test_steps_agree_on_joint_and_view():
         assert t_j == t_v
         assert pert_j.r.tobytes() == pert_v.r.tobytes()
         assert f_primes(joint, pert_j) == f_primes(view, pert_j)
+
+
+def table_view(joint):
+    """The view with its three conditional tables from ``conditional_table``,
+    each named through the joint's variables."""
+    joint = probcore.reorder(joint, CANON_ORDER)
+    tol = slope_module.config.CONFIG.tol_supp
+    tables = [probcore.conditional_table(joint, "v", given)
+              for given in (("u", "x", "y1"), ("u", "y1"), ("u", "yr"))]
+    with np.errstate(divide="ignore"):
+        l1, l_y1, l_yr = (np.where(t > 0.0, np.log2(t), 0.0) for t in tables)
+    l1, l_y1, l_yr = l1[:, :, :, None], l_y1[:, None, :, None], l_yr[:, None, None]
+    tuple_p = joint.pmf.sum(axis=4)
+    free = (tuple_p > tol)[..., None] & (tables[2] > tol)[:, None, None]
+    return JointView(joint, tuple_p, free, tables[2], l1 - l_y1, l1 - l_yr, l_yr - l_y1)
+
+
+def spread_deviation(view, lam):
+    """The alignment deviation at lambda, over the whole tuple grid at once
+    rather than the rows with a free letter: max and min are exact, so the
+    order of the comparisons cannot move a bit."""
+    profile = view.g2 + lam * view.drift
+    spread = (np.where(view.free, profile, -np.inf).max(axis=-1)
+              - np.where(view.free, profile, np.inf).min(axis=-1))[view.free.any(axis=-1)]
+    return float(spread.max()) if spread.size else 0.0
+
+
+def rate_terms_read(pmf, names):
+    """The terms ``names`` of a canonical-order pmf, from a ``RateTerms``
+    table, one ``probcore.entropy`` call per subset."""
+    terms = RateTerms(FiniteDist(tuple(map(Alphabet, CANON_ORDER, pmf.shape)), pmf))
+    return [terms[name] for name in names]
+
+
+@contextlib.contextmanager
+def table_readers():
+    """The verdicts with the readers they had before each took every table
+    once: views from ``table_view``, rate terms from ``RateTerms`` and the
+    deviation from ``spread_deviation``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(JointView, "of", staticmethod(
+            lambda j: j if isinstance(j, JointView) else table_view(j)))
+        m.setattr(slope_module, "_read_terms", rate_terms_read)
+        m.setattr(slope_module, "_deviation", spread_deviation)
+        yield
+
+
+def attempt(fn, *args):
+    """``fn(*args)``, or the error it raised as text."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["dense", "zero_rich", "relabelled", "block_aligned"]),
+       st.sampled_from([None, 0.05]))
+def test_verdicts_take_each_table_once_bit_for_bit(seed, kind, tol_supp):
+    # block-aligned instances reach the full-support reduction
+    if kind == "dense":
+        spec, cd = random_markov_instance(np.random.default_rng(seed), full_support=True)
+    elif kind == "block_aligned":
+        spec, cd = block_aligned_instance(seed)
+    else:
+        spec, cd = zero_rich_instance(seed)
+        if kind == "relabelled":
+            spec, cd, _ = relabelled(spec, cd, np.random.default_rng([seed, 1]))
+    joint = build_joint(spec, cd)
+    coarse = {} if tol_supp is None else {"tol_supp": tol_supp}
+    with slope_module.config.temporary_tolerances(**coarse):
+        view, want = JointView.of(joint), table_view(joint)
+        for field in ("tuple_p", "pv_uyr", "free", "g1", "g2", "drift"):
+            got, ref = getattr(view, field), getattr(want, field)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, field
+            assert got.tobytes() == ref.tobytes(), field
+
+        for names in (slope_module._PRECONDITION_TERMS, slope_module._REDUCTION_TERMS):
+            got = attempt(slope_module._read_terms, joint.pmf, names)
+            ref = attempt(rate_terms_read, joint.pmf, names)
+            if isinstance(ref, str):
+                assert got == ref
+            else:
+                assert [t.hex() for t in got] == [t.hex() for t in ref]
+                assert (got[0] - got[1]).hex() == (ref[0] - ref[1]).hex()
+
+        lam = _dual_solve(view)[0]
+        for at in (lam, 0.0, 1.0):
+            assert _deviation(view, at).hex() == spread_deviation(want, at).hex()
+
+        verdicts = (infinite_slope_verdict, full_support_verdict)
+        got = [attempt(lambda f=f: f(spec, cd).to_json_dict()) for f in verdicts]
+        with table_readers():
+            ref = [attempt(lambda f=f: f(spec, cd).to_json_dict()) for f in verdicts]
+    assert json.dumps(got) == json.dumps(ref)
 
 
 #: Broadcast rows over (yr, y1) and kernels p(v | yr) in which a tuple of
@@ -1066,9 +1183,12 @@ def test_reduction_matches_kernel_oracle(seed):
 
 def test_reduction_work_is_pinned(monkeypatch):
     view = JointView.of(build_joint(*block_aligned_instance(7)))
+    passes = record_entropy_passes(monkeypatch)
     counts = count_calls(monkeypatch, {probcore: ("entropy", "mutual_information", "compose")})
     deterministic_reduction(view)
-    assert counts == {"entropy": 14, "mutual_information": 0, "compose": 0}
+    # the 7 subsets of the two residual terms, one pass per joint
+    assert counts == {"entropy": 0, "mutual_information": 0, "compose": 0}
+    assert passes == [7, 7]
 
 
 def test_reduction_numbers_only_letters_with_mass():
