@@ -25,6 +25,7 @@ JSON formats:
 
 from __future__ import annotations
 
+import math
 import string
 import sys
 from dataclasses import dataclass
@@ -139,20 +140,27 @@ class FiniteDist:
             raise SchemaError(f"duplicate variable names: {names}")
         shape = tuple(v.size for v in variables)
         arr = np.asarray(self.pmf, dtype=float)
-        total = int(np.prod(shape)) if shape else 1
+        total = math.prod(shape)
         if arr.shape != shape:
             if arr.size != total:
                 raise SchemaError(f"pmf has {arr.size} entries, expected {total} for shape {shape}")
             arr = arr.reshape(shape)
         else:
             arr = arr.copy()
-        if not np.all(np.isfinite(arr)):
-            raise SchemaError("pmf contains non-finite entries")
-        low = arr.min() if arr.size else 0.0
-        if low < -1e-12:
-            raise SchemaError(f"pmf has negative entry {low}")
-        np.clip(arr, 0.0, None, out=arr)
-        s = float(arr.sum())
+        # Two passes, min and sum. A non-finite entry makes one of them
+        # non-finite, and only then is every entry tested, which tells it
+        # from finite entries whose sum overflows; either is a SchemaError,
+        # not a warning.
+        low = arr.min()
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(arr.sum())
+            if not (math.isfinite(low) and math.isfinite(s)) and not np.isfinite(arr).all():
+                raise SchemaError("pmf contains non-finite entries")
+            if low < -1e-12:
+                raise SchemaError(f"pmf has negative entry {low}")
+            if not low > 0.0:  # zeros, -0.0 and rounding negatives read 0.0
+                np.maximum(arr, 0.0, out=arr)  # np.clip(arr, 0.0, None), bit for bit
+                s = float(arr.sum())
         if abs(s - 1.0) > config.CONFIG.tol_norm:
             raise SchemaError(f"pmf sums to {s}, not 1 within {config.CONFIG.tol_norm}")
         object.__setattr__(self, "variables", variables)
@@ -446,10 +454,12 @@ def mi_from_entropies(h_ag: float, h_bg: float, h_abg: float, h_g: float) -> flo
     0.0; a more negative one (or NaN) raises ``InfeasibleError``.
     """
     raw = h_ag + h_bg - h_abg - h_g
+    if raw > 0.0:  # tol_norm is read only where it can matter
+        return raw
     if not raw >= -config.CONFIG.tol_norm:
         raise InfeasibleError(f"mutual information {raw!r} is not >= -tol_norm "
                               f"= -{config.CONFIG.tol_norm}")
-    return max(0.0, raw)
+    return 0.0
 
 
 def mutual_information(d: FiniteDist, a: Any, b: Any, given: Any = None) -> float:

@@ -84,13 +84,41 @@ def _canonical(*groups: Any) -> tuple[str, ...]:
 #: ``CANON_ORDER``, so that terms sharing a subset share its key.
 _TERM_SUBSETS = {name: (_canonical(a, g), _canonical(b, g), _canonical(a, b, g), _canonical(g))
                  for name, (a, b, g) in _TERM_ARGS.items()}
-#: The 14 distinct non-empty subsets of the terms' entropies, in the order
-#: the terms first read them, and the axes of a ``CANON_ORDER`` joint that
-#: each sums out.
-_ENTROPY_SUBSETS = tuple(dict.fromkeys(s for subsets in _TERM_SUBSETS.values()
-                                       for s in subsets if s))
-_ENTROPY_REDUCTIONS = tuple(tuple(i for i, n in enumerate(CANON_ORDER) if n not in s)
-                            for s in _ENTROPY_SUBSETS)
+#: The terms of ``eval_pdcf`` and of ``pdcf_reduction_residuals``, each in
+#: the order its formula reads them.
+PDCF_TERMS = ("I(U;Yr)", "I(X;Y1,V|U)", "I(U;Y1)", "I(X;Y1|U)", "I(Yr;V|U,X,Y1)")
+RESIDUAL_TERMS = ("I(V;X,Y1|U)", "I(Yr;V|U)", "I(Yr;V|U,X,Y1)", "I(X;Y1,V|U)", "I(X;Y1,Yr|U)")
+
+
+def _term_pass(names: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], ...],
+                                                tuple[tuple[int, int, int, int], ...]]:
+    """The pass table of the terms ``names``: the axes of a ``CANON_ORDER``
+    joint that each of their distinct non-empty entropy subsets sums out, in
+    the order the terms first read them, and each term's four indices into
+    ``[0.0, *entropies]`` (the empty subset is 0)."""
+    subsets = tuple(dict.fromkeys(s for name in names for s in _TERM_SUBSETS[name] if s))
+    index = {(): 0, **{s: k for k, s in enumerate(subsets, 1)}}
+    return (tuple(tuple(i for i, n in enumerate(CANON_ORDER) if n not in s) for s in subsets),
+            tuple(tuple(index[s] for s in _TERM_SUBSETS[name]) for name in names))
+
+
+#: The pass table of each group of terms read together, built on the
+#: group's first read; it depends on the names alone.
+_TERM_PASSES: dict[tuple[str, ...], tuple] = {}
+
+
+def _read_terms(pmf: np.ndarray, names: tuple[str, ...]) -> list[float]:
+    """The terms ``names``, in that order, of a canonical-order joint's
+    pmf, from one ``probcore.marginal_entropies`` pass over their distinct
+    entropies, each combined by ``mi_from_entropies``, so every value equals
+    ``mutual_information(joint, *_TERM_ARGS[name])`` bit for bit. The first
+    term, in order, that is infeasible raises."""
+    table = _TERM_PASSES.get(names)
+    if table is None:
+        table = _TERM_PASSES[names] = _term_pass(names)
+    reductions, index = table
+    h = [0.0, *probcore.marginal_entropies(pmf, reductions)]
+    return [mi_from_entropies(h[a], h[b], h[c], h[g]) for a, b, c, g in index]
 
 
 def _json_real(value: Any, field: str) -> float:
@@ -276,15 +304,12 @@ class RateTerms(dict):
 def mi_terms(joint: FiniteDist) -> dict[str, float]:
     """Every mutual-information term used by the rate bounds, in bits.
 
-    The 14 entropies are taken in one ``probcore.marginal_entropies`` pass
-    and combined term by term as ``RateTerms`` combines them, so each term
+    The 14 entropies are taken in one ``_read_terms`` pass, so each term
     equals ``mutual_information(joint, *_TERM_ARGS[name])`` bit for bit.
     """
     if joint.names != CANON_ORDER:
         joint = reorder(joint, CANON_ORDER)
-    h = dict(zip(_ENTROPY_SUBSETS, probcore.marginal_entropies(joint.pmf, _ENTROPY_REDUCTIONS)))
-    h[()] = 0.0
-    return {name: mi_from_entropies(*(h[s] for s in _TERM_SUBSETS[name])) for name in TERM_NAMES}
+    return dict(zip(TERM_NAMES, _read_terms(joint.pmf, TERM_NAMES)))
 
 
 def bounds_from_terms(t: dict[str, float], c0: float) -> tuple[float, float, float]:
@@ -315,15 +340,13 @@ def eval_cf_rate(spec: RelayNetSpec, cd: CodingDist) -> RateReport:
 def eval_pdcf(spec: RelayNetSpec, cd: CodingDist) -> float:
     """Classical PD/CF rate (no cooperation) at a Markov-form distribution.
 
-    The two bounds read five of the terms of ``mi_terms``.
+    The two bounds read the five ``PDCF_TERMS``, from one pass of their 11
+    entropies.
     """
     if not cd.markov_form:
         raise PreconditionError("PD/CF evaluation requires a Markov-form coding distribution")
-    t = mi_terms(build_joint(spec, cd))
-    first = t["I(U;Yr)"] + t["I(X;Y1,V|U)"]
-    second = (min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"]
-              + spec.c0 - t["I(Yr;V|U,X,Y1)"])
-    return min(first, second)
+    i_u_yr, i_x_y1v, i_u_y1, i_x_y1, pen = _read_terms(build_joint(spec, cd).pmf, PDCF_TERMS)
+    return min(i_u_yr + i_x_y1v, min(i_u_y1, i_u_yr) + i_x_y1 + spec.c0 - pen)
 
 
 def pdcf_reduction_residuals(spec: RelayNetSpec, cd: CodingDist) -> tuple[float, float]:
@@ -335,10 +358,9 @@ def pdcf_reduction_residuals(spec: RelayNetSpec, cd: CodingDist) -> tuple[float,
 
     Both vanish (within tolerance) in Markov form. The function also accepts
     non-Markov distributions so callers can observe the residuals break; it
-    reports, it never asserts. The residuals read five of the terms of
-    ``mi_terms``.
+    reports, it never asserts. The residuals read the five
+    ``RESIDUAL_TERMS``, from one pass of their 11 entropies.
     """
-    t = mi_terms(build_joint(spec, cd))
-    first = abs(t["I(V;X,Y1|U)"] - t["I(Yr;V|U)"] + t["I(Yr;V|U,X,Y1)"])
-    second = abs(t["I(X;Y1,V|U)"] - min(t["I(X;Y1,V|U)"], t["I(X;Y1,Yr|U)"]))
-    return first, second
+    i_v_xy1, i_yr_v, pen, i_x_y1v, i_x_y1yr = _read_terms(build_joint(spec, cd).pmf,
+                                                          RESIDUAL_TERMS)
+    return abs(i_v_xy1 - i_yr_v + pen), abs(i_x_y1v - min(i_x_y1v, i_x_y1yr))

@@ -54,24 +54,23 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import config, probcore
+from . import config
 from .probcore import (
     FiniteDist,
     Alphabet,
     CondKernel,
     InfeasibleError,
     PreconditionError,
-    mi_from_entropies,
     reorder,
 )
 from .relaynet import (
-    _TERM_SUBSETS,
     CANON_ORDER,
     NO_V_TERMS,
     CodingDist,
     RateTerms,
     RelayNetSpec,
     V,
+    _read_terms,
     bounds_from_terms,
     build_joint,
     markov_kernel,
@@ -139,10 +138,12 @@ class Perturbation:
         off = np.abs(r) * (mk[:, None, None, :, :] <= config.CONFIG.tol_supp)
         if off.size and off.max() > 0.0:
             raise ValueError("direction is nonzero outside the base channel support")
-        values, codes = np.unique(r, return_inverse=True)
+        values = np.unique(r)
         if values.size <= 16:
-            # One zero code is appended; at an even entry count it is left out.
-            codes = np.append(codes.ravel().astype(np.uint8), np.uint8(0))
+            # Each entry's index in values, as np.unique's inverse but without
+            # its argsort. One zero code is appended; at an even entry count
+            # it is left out.
+            codes = np.append(values.searchsorted(r).ravel().astype(np.uint8), np.uint8(0))
             codes = codes[0:-1:2] | (codes[1::2] << 4)
         else:
             values, codes = r.copy(), None
@@ -435,17 +436,19 @@ _MAX_STEPS = 200
 
 
 def _pwl_argmin(evaluate: Callable[[float], tuple[float, float, Any]],
-                at0: tuple[float, float, Any], at1: tuple[float, float, Any]):
+                at0: tuple[float, float, Any], at1: tuple[float, float, Any] | None):
     """Minimise a convex piecewise-linear function f of lambda on [0, 1].
 
     ``evaluate(lam)`` returns ``(f(lam), s, state)`` with s a subgradient
-    of f at lam; ``at0`` and ``at1`` are its results at the two ends. An end
-    whose slope points out of [0, 1] is the minimiser. Otherwise the
-    tangent lines at the ends of the bracket bound f from below, so their
-    meeting point bounds the minimum from below, and the search stops at
-    the first query whose value reaches that bound up to rounding. Queries
-    are the meeting points (secant steps, exact on a linear piece); a step
-    that fails to halve the bracket is followed by a bisection.
+    of f at lam; ``at0`` and ``at1`` are its results at the two ends, and
+    ``at1`` is read only when ``at0``'s slope is negative, so a caller may
+    pass None there otherwise. An end whose slope points out of [0, 1] is
+    the minimiser. Otherwise the tangent lines at the ends of the bracket
+    bound f from below, so their meeting point bounds the minimum from
+    below, and the search stops at the first query whose value reaches that
+    bound up to rounding. Queries are the meeting points (secant steps,
+    exact on a linear piece); a step that fails to halve the bracket is
+    followed by a bisection.
 
     Returns ``(lam, at, lo, hi)``: the minimiser, its evaluation, and the
     evaluations at the final bracket ends. At an end of [0, 1] or on a flat
@@ -532,7 +535,11 @@ def _dual_solve(view: JointView) -> tuple[float, float, np.ndarray]:
         z[(order + at_row).ravel()] = sign.ravel()
         return float((c.ravel() * z).sum()), float((d.ravel() * z).sum()), z
 
-    lam, _, lo, hi = _pwl_argmin(evaluate, evaluate(0.0, side=1.0), evaluate(1.0, side=-1.0))
+    # lambda = 0 is the minimiser unless its slope is negative, as on a
+    # joint aligned there; only then is lambda = 1 evaluated.
+    at0 = evaluate(0.0, side=1.0)
+    at1 = evaluate(1.0, side=-1.0) if at0[1] < 0.0 else None
+    lam, _, lo, hi = _pwl_argmin(evaluate, at0, at1)
     if lo is hi:
         z = lo[2]
     else:
@@ -592,29 +599,6 @@ def check_lambda(joint_base: FiniteDist | JointView) -> tuple[float, float] | No
 #: The terms of the verdict's precondition and of the reduction's residuals.
 _PRECONDITION_TERMS = ("I(X;Y1,Yr|U)", "I(X;Y1,V|U)")
 _REDUCTION_TERMS = ("I(X;Y1,V|U)", "I(Yr;V|U,X,Y1)")
-
-
-def _entropy_pass(names: tuple[str, ...]) -> tuple[tuple[tuple[str, ...], ...],
-                                                   tuple[tuple[int, ...], ...]]:
-    """The distinct entropy subsets of the terms ``names`` and the axes of
-    a ``CANON_ORDER`` joint that each sums out."""
-    subsets = tuple(dict.fromkeys(s for name in names for s in _TERM_SUBSETS[name]))
-    return subsets, tuple(tuple(i for i, n in enumerate(CANON_ORDER) if n not in s)
-                          for s in subsets)
-
-
-#: The entropy pass of each group of terms read together.
-_TERM_PASSES = {names: _entropy_pass(names) for names in (_PRECONDITION_TERMS, _REDUCTION_TERMS)}
-
-
-def _read_terms(pmf: np.ndarray, names: tuple[str, ...]) -> list[float]:
-    """The terms ``names`` of a canonical-order joint's pmf, from one
-    ``probcore.marginal_entropies`` pass over their distinct entropies,
-    each combined by ``mi_from_entropies`` as ``RateTerms`` combines it, so
-    every value equals the ``RateTerms`` value bit for bit."""
-    subsets, reductions = _TERM_PASSES[names]
-    h = dict(zip(subsets, probcore.marginal_entropies(pmf, reductions)))
-    return [mi_from_entropies(*(h[s] for s in _TERM_SUBSETS[name])) for name in names]
 
 
 @dataclass(frozen=True, eq=False, slots=True)

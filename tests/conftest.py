@@ -6,9 +6,10 @@ definition directly, ``shifted_terms`` rebuilds perturbed kernels by plain
 array arithmetic so derivative formulas can be checked against finite
 differences, ``reduction_by_kernel`` finds the components of the
 full-support reduction by depth-first search and composes W as a kernel,
-``reference_kappa`` sums the cost coefficient cell by cell, and
+``reference_kappa`` sums the cost coefficient cell by cell,
 ``least_deviation`` minimises the largest alignment deviation itself,
-apart from the library's dual solve.
+apart from the library's dual solve, and ``five_pass_pmf`` validates a pmf
+by a separate scan per check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 import numpy as np
 
 from cfdiamond import config, probcore, relaynet, slope
-from cfdiamond.probcore import Alphabet, CondKernel, FiniteDist, compose, mutual_information
+from cfdiamond.probcore import (Alphabet, CondKernel, FiniteDist, SchemaError, compose,
+                                mutual_information)
 from cfdiamond.relaynet import CodingDist, RelayNetSpec, build_joint
 from cfdiamond.slope import Perturbation
 
@@ -339,6 +341,45 @@ def record_entropy_passes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(probcore, "marginal_entropies", recorded)
     return sizes
+
+
+def attempt(fn, *args):
+    """``fn(*args)``, or the error it raised as text."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def five_pass_pmf(variables, pmf) -> np.ndarray:
+    """The array ``FiniteDist(variables, pmf)`` stores, or the
+    ``SchemaError`` it raises, by five scans of the entries: the finiteness
+    mask and its ``all``, the minimum, the clip to nonnegative and the sum
+    of the clipped entries.
+
+    A sum of finite entries that overflows warns as well as raising; the
+    warning is silenced here, so that only the error is compared.
+    """
+    shape = tuple(v.size for v in variables)
+    arr = np.asarray(pmf, dtype=float)
+    if arr.shape != shape:
+        if arr.size != math.prod(shape):
+            raise SchemaError(f"pmf has {arr.size} entries, expected {math.prod(shape)} "
+                              f"for shape {shape}")
+        arr = arr.reshape(shape)
+    else:
+        arr = arr.copy()
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError("pmf contains non-finite entries")
+    low = arr.min()
+    if low < -1e-12:
+        raise SchemaError(f"pmf has negative entry {low}")
+    np.clip(arr, 0.0, None, out=arr)
+    with np.errstate(over="ignore"):
+        s = float(arr.sum())
+    if abs(s - 1.0) > config.CONFIG.tol_norm:
+        raise SchemaError(f"pmf sums to {s}, not 1 within {config.CONFIG.tol_norm}")
+    return np.ascontiguousarray(arr)
 
 
 def relative_gap(a: float, b: float, floor: float = 1e-6) -> float:

@@ -1,12 +1,13 @@
 import itertools
 import json
+import math
 import pathlib
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cfdiamond
 from cfdiamond import config, probcore
@@ -32,7 +33,7 @@ from cfdiamond.probcore import (
     mutual_information,
     reorder,
 )
-from conftest import rand_pmf, sample_joint, shift_entropies
+from conftest import five_pass_pmf, rand_pmf, sample_joint, shift_entropies
 
 
 def dist(*pairs):
@@ -472,6 +473,53 @@ def test_pmf_must_normalize():
 def test_pmf_rejects_negative():
     with pytest.raises(SchemaError, match="negative"):
         dist(("a", 2), [1.1, -0.1])
+
+
+#: Entries that the checks of a pmf tell apart: not finite, finite with a
+#: sum that overflows, the negative bound of rounding and either side of it,
+#: signed and subnormal zeros.
+PMF_SPECIALS = (np.nan, np.inf, -np.inf, 1e308, -1e308, -1e-12, -0.0, 0.0, 5e-324, -5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=3), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 26),
+                          st.one_of(st.sampled_from(PMF_SPECIALS),
+                                    st.floats(-2e-12, 0.0, exclude_max=True))),
+                max_size=4),
+       st.sampled_from([1.0, 1.0 + 5e-10, 1.0 + 2e-9, 0.5]), st.booleans())
+@example([3], 0, [(0, np.nan)], 1.0, False)
+@example([3], 0, [(0, np.inf)], 1.0, False)
+@example([3], 0, [(0, -np.inf)], 1.0, True)
+@example([3], 0, [(0, np.inf), (1, -np.inf)], 1.0, False)
+@example([3], 0, [(0, 1e308), (1, 1e308)], 1.0, False)
+@example([2, 2], 0, [(0, 1e308), (1, 1e308), (2, -0.0)], 1.0, True)
+@example([3], 0, [(0, -1e-13)], 1.0, False)
+@example([3], 0, [(0, -0.0), (1, 0.0)], 1.0, False)
+@example([3], 0, [], 0.5, False)
+def test_pmf_checks_match_five_scans(sizes, seed, specials, scale, flat):
+    # each input gives the same error, or the same stored bits, as the
+    # checks that scan the entries once per check; no warning escapes. The
+    # entries left unset are scaled to sum to ``scale``.
+    variables = tuple(Alphabet(f"v{i}", n) for i, n in enumerate(sizes))
+    pmf = rand_pmf(np.random.default_rng(seed), math.prod(sizes))
+    rest = np.ones(pmf.size, dtype=bool)
+    for k, value in specials:
+        pmf[k % pmf.size] = value
+        rest[k % pmf.size] = False
+    if rest.any():
+        pmf[rest] *= scale / pmf[rest].sum()
+    if not flat:
+        pmf = pmf.reshape(tuple(sizes))
+
+    def stored(make):
+        try:
+            arr = make(variables, pmf.copy())
+        except SchemaError as exc:
+            return f"SchemaError: {exc}"
+        return arr.shape, arr.flags.c_contiguous, arr.tobytes()
+
+    assert stored(lambda v, p: FiniteDist(v, p).pmf) == stored(five_pass_pmf)
 
 
 def test_alphabet_labels_validated():

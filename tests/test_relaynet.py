@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfdiamond import config, probcore
+from cfdiamond import config, probcore, slope
 from cfdiamond.probcore import (
     Alphabet,
     CondKernel,
@@ -16,11 +16,14 @@ from cfdiamond.probcore import (
 )
 from cfdiamond.relaynet import (
     CANON_ORDER,
+    PDCF_TERMS,
+    RESIDUAL_TERMS,
     TERM_NAMES,
     CodingDist,
     RateTerms,
     RelayNetSpec,
     _TERM_ARGS,
+    _read_terms,
     build_joint,
     eval_cf_rate,
     eval_pdcf,
@@ -30,6 +33,7 @@ from cfdiamond.relaynet import (
 from cfdiamond.slope import alpha_max, perturb
 from cfdiamond.zoo import bec_coding_dist, bec_rate, make_bec_pair
 from conftest import (
+    attempt,
     count_calls,
     mi_loops,
     rand_pmf,
@@ -350,9 +354,8 @@ def test_reduction_residual_breaks_off_markov():
     assert r1 > 1e-6
 
 
-# the five terms read 11 of the 14 entropies, but one pass over all 14
-# costs less than 11 separate entropies; term by term they would take 18
-# and 20
+# each evaluator reads its own five terms, from one pass over their 11
+# distinct entropies; term by term they would take 18 and 20
 @pytest.mark.parametrize("evaluate", [eval_pdcf, pdcf_reduction_residuals])
 def test_pdcf_evaluators_take_one_entropy_pass(monkeypatch, evaluate):
     spec, cd = random_markov_instance(np.random.default_rng(16))
@@ -368,7 +371,7 @@ def test_pdcf_evaluators_take_one_entropy_pass(monkeypatch, evaluate):
     passes = record_entropy_passes(monkeypatch)
     assert evaluate(spec, cd) == want  # the same terms, bit for bit
     assert counts == {"mutual_information": 0, "entropy": 0}
-    assert passes == [14]
+    assert passes == [11]
 
 
 def test_data_processing_inequality_markov():
@@ -433,6 +436,36 @@ def test_rate_terms_compute_each_term_once(monkeypatch):
     with pytest.raises(KeyError, match="I\\(X;V\\)"):
         table["I(X;V)"]
     assert list(table) == ["I(U;Yr)", "I(X;Y1,V|U)", "I(X;Y1|U)"]
+
+
+#: Every group of terms that some evaluator reads together.
+TERM_GROUPS = (TERM_NAMES, PDCF_TERMS, RESIDUAL_TERMS, slope._PRECONDITION_TERMS,
+               slope._REDUCTION_TERMS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("dense", "zero-rich")), st.integers(0, 2**32 - 1),
+       st.permutations(CANON_ORDER), st.sampled_from([None, 0.05]),
+       st.sampled_from([None, 0.2, 1e3]))
+def test_read_terms_equal_each_mutual_information(kind, seed, order, tol_supp, shift):
+    # the axes of a permuted joint, named in CANON_ORDER, make a joint that
+    # is not Markov; a shift of 0.2 tol_norm leaves raw values within
+    # tol_norm of zero (read as 0.0), and one of 1e3 tol_norm makes some
+    # terms raise
+    permuted = reorder(sample_joint(kind, seed), order)
+    joint = FiniteDist(tuple(map(Alphabet, CANON_ORDER, permuted.sizes)), permuted.pmf)
+    coarse = {} if tol_supp is None else {"tol_supp": tol_supp}
+    with config.temporary_tolerances(**coarse), pytest.MonkeyPatch.context() as m:
+        if shift is not None:
+            shift_entropies(m, shift * config.CONFIG.tol_norm)
+        for names in TERM_GROUPS:
+            got = attempt(_read_terms, joint.pmf, names)
+            want = attempt(lambda: [mutual_information(joint, *_TERM_ARGS[name])
+                                    for name in names])
+            if isinstance(want, str):  # the first infeasible term, in order
+                assert got == want
+            else:
+                assert [t.hex() for t in got] == [t.hex() for t in want]
 
 
 def test_mi_terms_take_each_entropy_once(monkeypatch):

@@ -55,6 +55,7 @@ from cfdiamond.slope import (
 from cfdiamond.zoo import ModAddParams, bec_coding_dist, make_bec_pair, make_modadd, \
     modadd_capacity, modadd_coding_dist
 from conftest import (
+    attempt,
     block_aligned_instance,
     central_difference,
     components_dfs,
@@ -961,14 +962,6 @@ def table_readers():
         m.setattr(slope_module, "_read_terms", rate_terms_read)
         m.setattr(slope_module, "_deviation", spread_deviation)
         yield
-
-
-def attempt(fn, *args):
-    """``fn(*args)``, or the error it raised as text."""
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError) as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=200, deadline=None)
