@@ -34,6 +34,8 @@ behind that reduction.
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass
 from typing import Any
 
@@ -71,6 +73,10 @@ TERM_NAMES = tuple(_TERM_ARGS)
 #: The terms free of V. They depend on the (u, x, y1, yr) marginal alone, so
 #: joints that differ only in the compression channel share them.
 NO_V_TERMS = TERM_NAMES[:4]
+#: Packs the terms as float64s in ``TERM_NAMES`` order, read from a dict
+#: of terms by ``_term_values``.
+_TERMS_STRUCT = struct.Struct(f"{len(TERM_NAMES)}d")
+_term_values = operator.itemgetter(*TERM_NAMES)
 
 
 def _canonical(*groups: Any) -> tuple[str, ...]:
@@ -237,16 +243,40 @@ def markov_kernel(cd: CodingDist) -> np.ndarray:
     return cd.v_kernel.tensor[:, 0, 0, :, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class RateReport:
-    """Evaluated cooperative bounds with a per-term breakdown."""
+    """Evaluated cooperative bounds with a per-term breakdown.
+
+    Sweeps keep many reports, so the terms are held as their packed
+    float64 bytes in ``TERM_NAMES`` order, in slots: about 260 bytes a
+    report. ``terms`` rebuilds the dict, with the same values, on each
+    access.
+    """
 
     bound1: float
     bound2: float
     cf_required: float
     feasible: bool
     achievable: float | None
-    terms: dict[str, float]
+    _packed_terms: bytes
+
+    def __init__(self, bound1: float, bound2: float, cf_required: float, feasible: bool,
+                 achievable: float | None, terms: dict[str, float]) -> None:
+        object.__setattr__(self, "bound1", bound1)
+        object.__setattr__(self, "bound2", bound2)
+        object.__setattr__(self, "cf_required", cf_required)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "achievable", achievable)
+        object.__setattr__(self, "_packed_terms", _TERMS_STRUCT.pack(*_term_values(terms)))
+
+    @property
+    def terms(self) -> dict[str, float]:
+        return dict(zip(TERM_NAMES, _TERMS_STRUCT.unpack(self._packed_terms)))
+
+    def __repr__(self) -> str:
+        return (f"RateReport(bound1={self.bound1!r}, bound2={self.bound2!r}, "
+                f"cf_required={self.cf_required!r}, feasible={self.feasible!r}, "
+                f"achievable={self.achievable!r}, terms={self.terms!r})")
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"bound1": self.bound1,

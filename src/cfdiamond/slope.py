@@ -49,6 +49,7 @@ solve.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -115,12 +116,13 @@ class Perturbation:
     most 16 distinct values it is held as 4-bit codes into its sorted
     distinct values, two codes per byte (the entry of even flat index in
     the low half), a sixteenth of the float64 size; any other r is held as
-    float64. ``r`` rebuilds the read-only array on each access.
+    float64. Both are kept as bytes, in slots. ``r`` rebuilds the read-only
+    array on each access.
     """
 
     base: CodingDist
-    _values: np.ndarray
-    _codes: np.ndarray | None  # None when _values is r itself
+    _values: bytes  # float64
+    _codes: bytes | None  # None when _values is r itself
 
     def __init__(self, r: np.ndarray, base: CodingDist) -> None:
         if not base.markov_form:
@@ -144,29 +146,30 @@ class Perturbation:
             # its argsort. One zero code is appended; at an even entry count
             # it is left out.
             codes = np.append(values.searchsorted(r).ravel().astype(np.uint8), np.uint8(0))
-            codes = codes[0:-1:2] | (codes[1::2] << 4)
+            codes = (codes[0:-1:2] | (codes[1::2] << 4)).tobytes()
         else:
-            values, codes = r.copy(), None
-        values.setflags(write=False)
+            values, codes = r, None
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_values", values.tobytes())
         object.__setattr__(self, "_codes", codes)
 
     @property
     def r(self) -> np.ndarray:
-        if self._codes is None:
-            return self._values
         shape = self.base.v_kernel.tensor.shape
-        codes = np.empty(2 * self._codes.size, dtype=np.uint8)
-        np.bitwise_and(self._codes, 0x0F, out=codes[0::2])
-        np.right_shift(self._codes, 4, out=codes[1::2])
-        r = self._values.take(codes[:math.prod(shape)]).reshape(shape)
+        values = np.frombuffer(self._values)  # read-only, as bytes are
+        if self._codes is None:
+            return values.reshape(shape)
+        packed = np.frombuffer(self._codes, dtype=np.uint8)
+        codes = np.empty(2 * packed.size, dtype=np.uint8)
+        np.bitwise_and(packed, 0x0F, out=codes[0::2])
+        np.right_shift(packed, 4, out=codes[1::2])
+        r = values.take(codes[:math.prod(shape)]).reshape(shape)
         r.setflags(write=False)
         return r
 
     @property
     def is_zero(self) -> bool:
-        return not bool(np.any(self._values))
+        return not bool(np.any(np.frombuffer(self._values)))
 
     def scaled(self, factor: float) -> "Perturbation":
         """Same direction with every entry multiplied by ``factor``."""
@@ -393,11 +396,25 @@ def _cost_coefficient(joint: FiniteDist, d: np.ndarray) -> float:
     return float(cost.sum()) / (2.0 * math.log(2.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class CurvatureReport:
-    """Cooperation cost along an alpha schedule."""
+    """Cooperation cost along an alpha schedule.
 
-    points: tuple[tuple[float, float, float], ...]  # (alpha, ccf, ccf/alpha)
+    The points (alpha, ccf, ccf/alpha) are held packed, as ``SlopeCurve``
+    holds its points; ``points`` unpacks the tuples on each access.
+    """
+
+    _packed: bytes
+
+    def __init__(self, points: Sequence[tuple[float, float, float]]) -> None:
+        object.__setattr__(self, "_packed", np.array(points, dtype=float).reshape(-1, 3).tobytes())
+
+    @property
+    def points(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple(struct.iter_unpack("3d", self._packed))
+
+    def __repr__(self) -> str:
+        return f"CurvatureReport(points={self.points!r})"
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"points": [{"alpha": a, "ccf": c, "ratio": q} for a, c, q in self.points]}
@@ -423,7 +440,7 @@ def ccf_curvature(spec: RelayNetSpec, base: CodingDist, pert: Perturbation,
         else:
             ccf = 0.0
         points.append((a, ccf, ccf / a if a > 0.0 else 0.0))
-    return CurvatureReport(tuple(points))
+    return CurvatureReport(points)
 
 
 # ---------------------------------------------------------------------------
@@ -664,29 +681,30 @@ def infinite_slope_verdict(spec: RelayNetSpec, cd: CodingDist) -> SlopeVerdict:
     return SlopeVerdict(VERDICT_INCONCLUSIVE, True, t_star, (lam, dev))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 class SlopeCurve:
     """Rate gain against cooperation cost along an alpha schedule.
 
-    Sweeps keep many curves, so the points are held as one read-only
-    float64 array of rows (alpha, ccf, delta, ratio), under half the size
-    of tuples of Python floats; ``points`` rebuilds the tuples, with the
+    Sweeps keep many curves, so the points are held as the packed float64
+    bytes of their rows (alpha, ccf, delta, ratio), in slots: about 370
+    bytes a curve at eight steps. ``points`` unpacks the tuples, with the
     same values, on each access.
     """
 
-    _table: np.ndarray
+    _packed: bytes
     kappa: float  # ccf(alpha) = kappa * alpha**2 + O(alpha**3)
 
     def __init__(self, points: Sequence[tuple[float, float, float, float]],
                  kappa: float) -> None:
-        table = np.array(points, dtype=float).reshape(-1, 4)
-        table.setflags(write=False)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_packed", np.array(points, dtype=float).reshape(-1, 4).tobytes())
         object.__setattr__(self, "kappa", kappa)
 
     @property
     def points(self) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple(map(tuple, self._table.tolist()))
+        return tuple(struct.iter_unpack("4d", self._packed))
+
+    def __repr__(self) -> str:
+        return f"SlopeCurve(points={self.points!r}, kappa={self.kappa!r})"
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"points": [{"alpha": a, "ccf": c, "delta_rate": d, "ratio": q}

@@ -201,6 +201,22 @@ def test_cf_rate_constant_v_reduces_to_pdcf_terms():
         min(t["I(U;Y1)"], t["I(U;Yr)"]) + t["I(X;Y1|U)"] + spec.c0, abs=1e-9)
 
 
+def test_rate_report_keeps_the_terms_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        spec, cd = random_markov_instance(rng, c0=0.3)
+        rep = eval_cf_rate(spec, cd)
+        want = mi_terms(build_joint(spec, cd))
+        assert list(rep.terms) == list(TERM_NAMES)
+        assert {k: v.hex() for k, v in rep.terms.items()} == {k: v.hex() for k, v in want.items()}
+        assert all(type(v) is float for v in rep.terms.values())
+        assert rep.to_json_dict()["term_breakdown"] == want
+        assert rep == eval_cf_rate(spec, cd)
+        assert repr(rep) == (f"RateReport(bound1={rep.bound1!r}, bound2={rep.bound2!r}, "
+                             f"cf_required={rep.cf_required!r}, feasible={rep.feasible!r}, "
+                             f"achievable={rep.achievable!r}, terms={want!r})")
+
+
 def test_cf_rate_markov_zero_budget_matches_pdcf():
     rng = np.random.default_rng(11)
     for _ in range(25):

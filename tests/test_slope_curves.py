@@ -25,6 +25,8 @@ from cfdiamond.relaynet import (
 )
 from cfdiamond.slope import (
     VERDICT_CERTIFIED,
+    CurvatureReport,
+    SlopeCurve,
     alpha_max,
     ccf_curvature,
     default_schedule,
@@ -114,6 +116,42 @@ def test_ccf_curvature_matches_per_alpha_rebuild(tag, spec, cd, pert):
     assert [a for a, _, _ in rep.points] == list(alphas)
     for a, ccf, _ in rep.points:
         assert abs(ccf - reference_ccf(spec, cd, pert, a)) <= CURVE_TOL
+
+
+#: Floats a packed point must return with their bits: signed zeros, the
+#: smallest subnormal, the largest finite, infinities and NaN.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1,
+               float("inf"), float("-inf"), float("nan"))
+
+
+def hex_rows(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("width, report", [(4, lambda rows: SlopeCurve(rows, 0.25)),
+                                           (3, CurvatureReport)])
+def test_packed_points_keep_every_bit(width, report):
+    rows = [tuple(EDGE_FLOATS[(k + j) % len(EDGE_FLOATS)] for j in range(width))
+            for k in range(len(EDGE_FLOATS))]
+    got = report(rows).points
+    assert isinstance(got, tuple) and all(type(row) is tuple for row in got)
+    assert all(type(x) is float for row in got for x in row)
+    assert hex_rows(got) == hex_rows(rows)
+    with pytest.raises(ValueError):
+        report([(0.0,) * (width + 1)])
+
+
+@pytest.mark.parametrize("tag, spec, cd, pert", CASES, ids=[c[0] for c in CASES])
+def test_curve_reports_unpack_what_they_computed(tag, spec, cd, pert):
+    alphas = default_schedule(alpha_max(cd, pert))
+    curve = slope_curve(spec, cd, pert, alphas)
+    assert curve.points == SlopeCurve(curve.points, curve.kappa).points
+    assert repr(curve) == f"SlopeCurve(points={curve.points!r}, kappa={curve.kappa!r})"
+    rep = ccf_curvature(spec, cd, pert, alphas)
+    assert rep == CurvatureReport(rep.points)
+    assert repr(rep) == f"CurvatureReport(points={rep.points!r})"
+    assert [a for a, _, _ in rep.points] == [a for a, _, _, _ in curve.points]
+    assert [c for _, c, _ in rep.points] == [c for _, c, _, _ in curve.points]
 
 
 @pytest.mark.parametrize("tag, spec, cd, pert", CASES, ids=[c[0] for c in CASES])
